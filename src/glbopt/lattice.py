@@ -205,17 +205,100 @@ def error_bound(delta: float, eps: float) -> float:
     return eps / delta
 
 
-def _default_sweep_cap(g: MonotoneMap, x0: np.ndarray, eps: float) -> int:
-    rate = g.contraction_rate
-    if rate is None or not 0.0 <= rate < 1.0 or g.lower_bound is None:
+def _start(n: int, x0, eps: float, policy: str | None = None) -> tuple[np.ndarray, SolveReport | None]:
+    """Checked float copy of the start point, and the finished report when n == 0.
+
+    Rejects a nonpositive ``eps``, an unknown ``policy`` (when one is given),
+    and a start point of the wrong shape or with non-finite entries.
+    """
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    if policy is not None and policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
+    x = np.array(x0, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"x0 must have shape ({n},), got {x.shape}")
+    if n and not np.all(np.isfinite(x)):
+        raise ValueError("x0 must be finite")
+    return x, (None if n else _report(x, None, time.perf_counter(), eps, policy, None))
+
+
+def _report(
+    x: np.ndarray,
+    a: np.ndarray | None,
+    t0: float,
+    eps: float,
+    policy: str | None,
+    rate: float | None,
+    *,
+    residual: float = 0.0,
+    muls: int = 0,
+    updates: int = 0,
+    dequeues: int = 0,
+    iterations: int = 0,
+) -> SolveReport:
+    """Final report of a solve started at ``t0``; the ``eps/(1-rate)`` error
+    bound is given only when ``rate`` is a contraction rate below one."""
+    return SolveReport(
+        x=x,
+        feasible=a is None or bool(np.all(x >= a)),
+        residual_inf=residual,
+        scalar_multiplications=muls,
+        component_updates=updates,
+        dequeues=dequeues,
+        wall_time=time.perf_counter() - t0,
+        policy=policy,
+        epsilon=eps,
+        iterations=iterations,
+        error_bound=(eps / (1.0 - rate)) if rate is not None and rate < 1.0 else None,
+    )
+
+
+def _default_sweep_cap(rate: float | None, lower_bound, x0: np.ndarray, eps: float) -> int:
+    if rate is None or not 0.0 <= rate < 1.0 or lower_bound is None:
         raise ValueError(
             "max_iter is required unless the map declares a contraction rate < 1 "
             "and a lower bound"
         )
-    scale = float(np.max(np.abs(x0 - g.lower_bound))) if g.n else 0.0
+    scale = float(np.max(np.abs(x0 - lower_bound)))
     if scale <= eps or rate == 0.0:
         return 10
     return 10 * math.ceil(math.log(scale / eps) / math.log(1.0 / rate))
+
+
+def _full_sweeps(
+    evaluate: Callable[[np.ndarray], np.ndarray],
+    n: int,
+    x0,
+    eps: float,
+    max_iter: int | None,
+    counter: OpCounter | None,
+    rate: float | None,
+    lower_bound,
+) -> SolveReport:
+    """The sweep loop ``x <- evaluate(x)`` behind every full-sweep solver;
+    ``rate`` and ``lower_bound`` size the default budget, the error bound
+    and the feasible flag."""
+    x, empty = _start(n, x0, eps)
+    if empty is not None:
+        return empty
+    start_muls = counter.multiplications if counter is not None else 0
+    t0 = time.perf_counter()
+    if max_iter is None:
+        max_iter = _default_sweep_cap(rate, lower_bound, x, eps)
+    step = math.inf
+    for sweep in range(1, max_iter + 1):
+        gx = evaluate(x)
+        step = float(np.max(np.abs(x - gx)))
+        x = gx
+        if step <= eps:
+            muls = (counter.multiplications - start_muls) if counter is not None else 0
+            return _report(x, lower_bound, t0, eps, None, rate,
+                           residual=step, muls=muls, iterations=sweep)
+    raise NonConvergenceError(
+        f"no eps-solution after {max_iter} sweeps (residual {step:.3e} > eps {eps:.3e})",
+        x=x, residual_inf=step,
+    )
 
 
 def fixed_point_solve(
@@ -234,54 +317,7 @@ def fixed_point_solve(
     rate the caller must supply a budget.  Exhausting the budget raises
     :class:`NonConvergenceError` carrying the last iterate.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    x = np.array(x0, dtype=float)
-    if x.shape != (g.n,):
-        raise ValueError(f"x0 must have shape ({g.n},), got {x.shape}")
-    if g.n and not np.all(np.isfinite(x)):
-        raise ValueError("x0 must be finite")
-    start_muls = counter.multiplications if counter is not None else 0
-    t0 = time.perf_counter()
-    if g.n == 0:
-        return SolveReport(
-            x=x, feasible=True, residual_inf=0.0, scalar_multiplications=0,
-            component_updates=0, dequeues=0, wall_time=time.perf_counter() - t0,
-            policy=None, epsilon=eps, iterations=0,
-        )
-    if max_iter is None:
-        max_iter = _default_sweep_cap(g, x, eps)
-    step = math.inf
-    for sweep in range(1, max_iter + 1):
-        gx = g.eval(x)
-        step = float(np.max(np.abs(x - gx)))
-        x = gx
-        if step <= eps:
-            muls = (counter.multiplications - start_muls) if counter is not None else 0
-            rate = g.contraction_rate
-            return SolveReport(
-                x=x,
-                feasible=_feasible_flag(x, g.lower_bound),
-                residual_inf=step,
-                scalar_multiplications=muls,
-                component_updates=0,
-                dequeues=0,
-                wall_time=time.perf_counter() - t0,
-                policy=None,
-                epsilon=eps,
-                iterations=sweep,
-                error_bound=(eps / (1.0 - rate)) if rate is not None and rate < 1.0 else None,
-            )
-    raise NonConvergenceError(
-        f"no eps-solution after {max_iter} sweeps (residual {step:.3e} > eps {eps:.3e})",
-        x=x, residual_inf=step,
-    )
-
-
-def _feasible_flag(x: np.ndarray, a: np.ndarray | None) -> bool:
-    if a is None:
-        return True
-    return bool(np.all(x >= a))
+    return _full_sweeps(g.eval, g.n, x0, eps, max_iter, counter, g.contraction_rate, g.lower_bound)
 
 
 def selective_update_solve(
@@ -303,26 +339,13 @@ def selective_update_solve(
     ``monitor``, when given, is called with the live ``(x, xi)`` arrays at
     every main-loop head; it must not mutate them.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
     g = problem.g
     n = g.n
-    x = np.array(g.cap if x0 is None else x0, dtype=float)
-    if x.shape != (n,):
-        raise ValueError(f"x0 must have shape ({n},), got {x.shape}")
-    if n and not np.all(np.isfinite(x)):
-        raise ValueError("x0 must be finite")
-
+    x, empty = _start(n, g.cap if x0 is None else x0, eps, policy)
+    if empty is not None:
+        return empty
     start_muls = counter.multiplications if counter is not None else 0
     t0 = time.perf_counter()
-    if n == 0:
-        return SolveReport(
-            x=x, feasible=True, residual_inf=0.0, scalar_multiplications=0,
-            component_updates=0, dequeues=0, wall_time=time.perf_counter() - t0,
-            policy=policy, epsilon=eps, iterations=0,
-        )
 
     graph = build_dependency_graph(g)
     xi = x - g.eval(x)
@@ -360,18 +383,7 @@ def selective_update_solve(
                 queue.enqueue(j, key_for(policy, j, float(x[j]), r, queue.insertions))
         xi[i] = 0.0
 
-    rate = g.contraction_rate
     muls = (counter.multiplications - start_muls) if counter is not None else 0
-    return SolveReport(
-        x=x,
-        feasible=_feasible_flag(x, problem.a),
-        residual_inf=max(0.0, float(np.max(xi))),
-        scalar_multiplications=muls,
-        component_updates=updates,
-        dequeues=dequeues,
-        wall_time=time.perf_counter() - t0,
-        policy=policy,
-        epsilon=eps,
-        iterations=updates,
-        error_bound=(eps / (1.0 - rate)) if rate is not None and rate < 1.0 else None,
-    )
+    return _report(x, problem.a, t0, eps, policy, g.contraction_rate,
+                   residual=max(0.0, float(np.max(xi))), muls=muls, updates=updates,
+                   dequeues=dequeues, iterations=updates)

@@ -18,14 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .lattice import (
-    MonotoneMap,
-    OpCounter,
-    SolveReport,
-    StartPointError,
-    fixed_point_solve,
-)
-from .queues import POLICIES, QueueUnderflow, make_queue
+from .lattice import OpCounter, SolveReport, StartPointError, _full_sweeps, _report, _start
+from .queues import QueueUnderflow, make_queue
 
 
 class ProblemDataError(ValueError):
@@ -181,56 +175,6 @@ class LinearGlbProblem:
             np.minimum(out, X @ A.T + b, out=out)
         return out
 
-    def as_monotone_map(self, counter: OpCounter | None = None) -> MonotoneMap:
-        """Adapter exposing the capped map through the generic solver interface.
-
-        The declared dependency of component ``i`` is the union of row-i
-        column indices over the pieces; instances with nonzero diagonals do
-        not fit the generic class and must be preconditioned first.
-        """
-        rows = self._row_slices()
-        U = self._U
-        total_pieces = self._pieces
-
-        def eval_component(i: int, x: np.ndarray) -> float:
-            best = U[i]
-            nnz = 0
-            for js, vs, b_i in rows[i]:
-                cand = float(vs @ x[js]) + b_i if js.size else b_i
-                nnz += js.size
-                if cand < best:
-                    best = cand
-            if counter is not None:
-                counter.multiplications += nnz
-            return float(best)
-
-        def dependencies(i: int):
-            deps: set[int] = set()
-            for js, _, _ in rows[i]:
-                deps.update(int(j) for j in js)
-            return sorted(deps)
-
-        gamma, _ = contraction_rates(self)
-        return MonotoneMap(
-            n=self.n,
-            eval_component=eval_component,
-            dependencies=dependencies,
-            cap=U,
-            eval=lambda x: self.glb_eval(x, counter),
-            contraction_rate=gamma if gamma < 1.0 else None,
-            lower_bound=self._a,
-        )
-
-    def _row_slices(self):
-        rows = []
-        for i in range(self.n):
-            per_piece = []
-            for A, b in self._pieces:
-                lo, hi = A.indptr[i], A.indptr[i + 1]
-                per_piece.append((A.indices[lo:hi], A.data[lo:hi], float(b[i])))
-            rows.append(per_piece)
-        return rows
-
     def _selective_tables(self):
         """Per-column update tables for the incremental solver (cached)."""
         if self._tables is None:
@@ -292,18 +236,6 @@ class PreconditionedProblem:
     problem: LinearGlbProblem
     gamma: float
     gamma_hat: float
-
-    @property
-    def pieces(self):
-        return self.problem.pieces
-
-    @property
-    def U(self) -> np.ndarray:
-        return self.problem.U
-
-    @property
-    def a(self) -> np.ndarray:
-        return self.problem.a
 
 
 def precondition(p: LinearGlbProblem) -> PreconditionedProblem:
@@ -382,7 +314,7 @@ def selective_update_linear(
 
 
 def selective_update_preconditioned(
-    p: LinearGlbProblem | PreconditionedProblem,
+    p: LinearGlbProblem,
     x0=None,
     eps: float = 1e-9,
     policy: str = "fifo",
@@ -395,33 +327,18 @@ def selective_update_preconditioned(
     Converges to the same fixed point as :func:`selective_update_linear`
     but with rate gamma_hat <= gamma.
     """
-    pp = precondition(p) if isinstance(p, LinearGlbProblem) else p
+    pp = precondition(p)
     return _selective_run(pp.problem, pp.gamma_hat, x0, eps, policy, monitor, debug_eta_every)
 
 
 def _selective_run(p, rate, x0, eps, policy, monitor, debug_eta_every):
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-    n, L = p.n, p.L
-    x_arr = np.array(p.U if x0 is None else x0, dtype=float)
-    if x_arr.shape != (n,):
-        raise ValueError(f"x0 must have shape ({n},), got {x_arr.shape}")
-    if n and not np.all(np.isfinite(x_arr)):
-        raise ValueError("x0 must be finite")
-
+    x_arr, empty = _start(p.n, p.U if x0 is None else x0, eps, policy)
+    if empty is not None:
+        return empty
     t0 = time.perf_counter()
-    if n == 0:
-        return SolveReport(
-            x=x_arr, feasible=True, residual_inf=0.0, scalar_multiplications=0,
-            component_updates=0, dequeues=0, wall_time=time.perf_counter() - t0,
-            policy=policy, epsilon=eps, iterations=0,
-        )
-
     etas_np = [A @ x_arr + b for A, b in p.pieces]
     muls = p.total_nnz
-    gx = np.minimum.reduce(etas_np) if L else p.U.copy()
+    gx = np.minimum.reduce(etas_np) if p.L else p.U.copy()
     gx = np.minimum(gx, p.U)
     xi_arr = x_arr - gx
     bad = np.flatnonzero(xi_arr < -eps)
@@ -437,21 +354,16 @@ def _selective_run(p, rate, x0, eps, policy, monitor, debug_eta_every):
     xi = xi_arr.tolist()
     etas = [e.tolist() for e in etas_np]
     u_list = p.U.tolist()
-    # bind each column's eta vectors and each touched index's cap once per run
-    cols_run = [[(etas[ell], pairs) for ell, pairs in cols[i]] for i in range(n)]
-    touched_run = [[(j, u_list[j]) for j in touched[i]] for i in range(n)]
 
     queue = make_queue(policy)
     enqueue = queue.enqueue
     # enqueue modes: the variation ordering needs true key replacement (its
     # pending residuals only grow, so every re-touch improves the key); the
-    # value ordering never replaces (x[j] is frozen while pending), letting
-    # the inline membership test skip the call entirely
+    # value ordering keys on x[j], which is frozen while j is pending
     variation = policy == "variation"
     by_value = policy == "value"
-    pending = queue._member if by_value else None
 
-    for i in range(n):
+    for i in range(p.n):
         if xi[i] > eps:
             if variation:
                 enqueue(i, -xi[i])
@@ -477,12 +389,13 @@ def _selective_run(p, rate, x0, eps, policy, monitor, debug_eta_every):
             continue  # stale entry; residual already resolved by a neighbor update
         x[i] -= v
         updates += 1
-        for eta, pairs in cols_run[i]:
+        for ell, pairs in cols[i]:
+            eta = etas[ell]
             for j, w in pairs:
                 eta[j] -= w * v
         muls += col_nnz[i]
-        for j, uj in touched_run[i]:
-            m = uj
+        for j in touched[i]:
+            m = u_list[j]
             for eta in etas:
                 t = eta[j]
                 if t < m:
@@ -493,8 +406,7 @@ def _selective_run(p, rate, x0, eps, policy, monitor, debug_eta_every):
                 if variation:
                     enqueue(j, -r)
                 elif by_value:
-                    if j not in pending:
-                        enqueue(j, x[j])
+                    enqueue(j, x[j])
                 else:
                     enqueue(j, 0.0)
         if not self_coupled[i]:
@@ -503,20 +415,8 @@ def _selective_run(p, rate, x0, eps, policy, monitor, debug_eta_every):
         if debug_period and updates % debug_period == 0:
             _eta_check_refresh(p, x, etas)
 
-    x_out = np.array(x)
-    return SolveReport(
-        x=x_out,
-        feasible=bool(np.all(x_out >= p.a)),
-        residual_inf=max(0.0, max(xi)),
-        scalar_multiplications=muls,
-        component_updates=updates,
-        dequeues=dequeues,
-        wall_time=time.perf_counter() - t0,
-        policy=policy,
-        epsilon=eps,
-        iterations=updates,
-        error_bound=(eps / (1.0 - rate)) if rate < 1.0 else None,
-    )
+    return _report(np.array(x), p.a, t0, eps, policy, rate, residual=max(0.0, max(xi)),
+                   muls=muls, updates=updates, dequeues=dequeues, iterations=updates)
 
 
 def _eta_check_refresh(p, x, etas):
@@ -543,14 +443,13 @@ def fixed_point_linear(
 ) -> SolveReport:
     """Full-sweep fixed-point iteration on the plain or preconditioned map,
     with multiplication counting wired in (one per stored nonzero per sweep)."""
-    if preconditioned:
-        pp = precondition(p)
-        base = pp.problem
-    else:
-        base = p
+    base = precondition(p).problem if preconditioned else p
     counter = OpCounter()
-    gmap = base.as_monotone_map(counter=counter)
-    return fixed_point_solve(gmap, base.U if x0 is None else x0, eps, max_iter, counter=counter)
+    gamma, _ = contraction_rates(base)
+    return _full_sweeps(
+        lambda x: base.glb_eval(x, counter), base.n, base.U if x0 is None else x0,
+        eps, max_iter, counter, gamma, base.a,
+    )
 
 
 # -- linear-program reformulation -------------------------------------------
