@@ -550,6 +550,38 @@ class HjbGridSpec:
         return np.column_stack([X.ravel(), Y.ravel()])
 
 
+def hjb_preset(name: str, grid_n: int, discount: float = 1.0, step: float = 0.5) -> HjbGridSpec:
+    """Named dynamic-programming demo specs usable from the command line."""
+    if name == "const1d":
+        return HjbGridSpec(
+            axes=((-1.0, 1.0, grid_n),),
+            controls=(0.0,),
+            dynamics=lambda x, u: 0.0 * u,
+            running_cost=lambda x, u: 1.0,
+            discount=discount,
+            step=step,
+        )
+    if name == "drift1d":
+        return HjbGridSpec(
+            axes=((-2.0, 2.0, grid_n),),
+            controls=(-1.0, 0.0, 1.0),
+            dynamics=lambda x, u: u,
+            running_cost=lambda x, u: float(x) ** 2,
+            discount=discount,
+            step=step,
+        )
+    if name == "spin2d":
+        return HjbGridSpec(
+            axes=((-1.0, 1.0, grid_n), (-1.0, 1.0, grid_n)),
+            controls=((0.5, 0.0), (-0.5, 0.0), (0.0, 0.5), (0.0, -0.5)),
+            dynamics=lambda x, u: u,
+            running_cost=lambda x, u: float(x[0]) ** 2 + float(x[1]) ** 2,
+            discount=discount,
+            step=step,
+        )
+    raise ValueError(f"unknown hjb preset {name!r}; expected const1d, drift1d or spin2d")
+
+
 def _force_row_sum(entries: list[tuple[int, float]], target: float) -> list[tuple[int, float]]:
     """Adjust the final entry so the ascending-index sequential float sum of
     the row equals ``target`` exactly (the summation order of a sparse

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from glbopt import bench, load_instance, save_instance, LinearGlbProblem
+from glbopt import bench, load_instance, save_instance, LinearGlbProblem, SolveReport
 from glbopt.bench import SweepConfig, make_instance, run_sweep, solve_with_method, write_sweep_csv
 from glbopt.cli import main
 
@@ -238,3 +238,20 @@ class TestCli:
         with open(out, newline="") as fh:
             records = list(csv.reader(fh))
         assert len(records) == 1 + 2 + 2  # header + runs + aggregates
+
+    def test_solve_exit_code_checks_residual_from_scratch(self, two_var_file, tmp_path,
+                                                           monkeypatch, capsys):
+        # A solver that claims residual 0 at the cap: g(U) = (6, 6), so the
+        # from-scratch residual is 4 and the exit code must say so.
+        def claims_converged(problem, method, policy="fifo", eps=1e-9, max_iter=100_000):
+            return SolveReport(
+                x=problem.U.copy(), feasible=True, residual_inf=0.0,
+                scalar_multiplications=0, component_updates=0, dequeues=0,
+                wall_time=0.0, policy=policy, epsilon=eps,
+            )
+
+        monkeypatch.setattr(bench, "solve_with_method", claims_converged)
+        out_path = tmp_path / "report.json"
+        assert main(["solve", two_var_file, "--out", str(out_path)]) == 1
+        doc = json.loads(out_path.read_text())
+        assert doc["residual"] == 0.0 and doc["x"] == [10.0, 10.0]
