@@ -12,6 +12,7 @@ from glbopt import (
     brute_force_max,
     contraction_rates,
     fixed_point_linear,
+    precondition,
     reference_solve,
     selective_update_linear,
     selective_update_preconditioned,
@@ -32,7 +33,7 @@ print()
 eps = 1e-9
 for name, run in [
     ("full sweeps (plain)", lambda: fixed_point_linear(problem, eps=eps)),
-    ("full sweeps (preconditioned)", lambda: fixed_point_linear(problem, eps=eps, preconditioned=True)),
+    ("full sweeps (preconditioned)", lambda: fixed_point_linear(precondition(problem), eps=eps)),
     ("selective, variation order", lambda: selective_update_linear(problem, eps=eps, policy="variation")),
     ("selective, fifo order", lambda: selective_update_linear(problem, eps=eps, policy="fifo")),
     ("selective, preconditioned", lambda: selective_update_preconditioned(problem, eps=eps)),

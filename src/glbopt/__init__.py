@@ -28,7 +28,6 @@ from .linear import (
     EtaDriftError,
     LinearGlbProblem,
     LpForm,
-    PreconditionedProblem,
     ProblemDataError,
     RedundantRowWarning,
     contraction_rates,
@@ -86,7 +85,7 @@ __all__ = [
     "NonConvergenceError", "OpCounter", "SolveReport", "StartPointError",
     "build_dependency_graph", "error_bound", "fixed_point_solve", "residual",
     "selective_update_solve",
-    "EtaDriftError", "LinearGlbProblem", "LpForm", "PreconditionedProblem",
+    "EtaDriftError", "LinearGlbProblem", "LpForm",
     "ProblemDataError", "RedundantRowWarning", "contraction_rates",
     "dominant_diagonal_gap", "fixed_point_linear", "precondition",
     "dominance_gap_limit", "selective_update_linear", "selective_update_preconditioned",

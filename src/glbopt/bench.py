@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .lattice import SolveReport
 from .linear import (
     LinearGlbProblem,
     fixed_point_linear,
+    precondition,
     selective_update_linear,
     selective_update_preconditioned,
 )
@@ -41,6 +42,10 @@ SWEEP_COLUMNS = (
     "scalar_multiplications", "component_updates", "dequeues", "residual", "feasible",
 )
 
+# Fixed parameters of the speedplan and hjb sweep families.
+SPEEDPLAN = {"v_max": 5.0, "acc_t": 1.0, "acc_n": 1.0}
+HJB = {"preset": "drift1d", "discount": 1.0, "step": 0.5}
+
 
 def solve_with_method(
     problem: LinearGlbProblem,
@@ -49,11 +54,15 @@ def solve_with_method(
     eps: float = 1e-9,
     max_iter: int = 100_000,
 ) -> SolveReport:
-    """Dispatch one solver run; ``policy`` is ignored by the fixed-point methods."""
+    """Dispatch one solver run.
+
+    ``policy`` is ignored by the fixed-point methods.  ``max_iter`` caps the
+    sweeps of the ``fixed-*`` methods; the selective methods ignore it.
+    """
     if method == "fixed-plain":
         return fixed_point_linear(problem, eps=eps, max_iter=max_iter)
     if method == "fixed-precond":
-        return fixed_point_linear(problem, eps=eps, max_iter=max_iter, preconditioned=True)
+        return fixed_point_linear(precondition(problem), eps=eps, max_iter=max_iter)
     if method == "selective-plain":
         return selective_update_linear(problem, eps=eps, policy=policy)
     if method == "selective-precond":
@@ -80,8 +89,6 @@ class SweepConfig:
     time_budget: float | None = None
     instance_path: str | None = None
     max_iter: int = 100_000
-    speedplan: dict = field(default_factory=lambda: {"v_max": 5.0, "acc_t": 1.0, "acc_n": 1.0})
-    hjb: dict = field(default_factory=lambda: {"preset": "drift1d", "discount": 1.0, "step": 0.5})
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -115,19 +122,17 @@ def make_instance(config: SweepConfig, n: int, seed: int) -> LinearGlbProblem:
             seed=seed,
         )
     if family == "speedplan":
-        sp = config.speedplan
         spec = SpeedPlanSpec(
             path_length=float(n - 1),
             samples=n,
             curvature=np.zeros(n),
-            v_max=sp["v_max"],
-            acc_tangential=sp["acc_t"],
-            acc_normal=sp["acc_n"],
+            v_max=SPEEDPLAN["v_max"],
+            acc_tangential=SPEEDPLAN["acc_t"],
+            acc_normal=SPEEDPLAN["acc_n"],
         )
         return speed_planning_problem(spec)
     if family == "hjb":
-        hj = config.hjb
-        return hjb_grid_problem(hjb_preset(hj["preset"], n, hj["discount"], hj["step"]))
+        return hjb_grid_problem(hjb_preset(HJB["preset"], n, HJB["discount"], HJB["step"]))
     if family == "file":
         return load_instance(config.instance_path)
     raise ValueError(f"unknown family {family!r}")

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import bench
 from .instances import (
-    InstanceFormatError,
     gen_graph,
     load_instance,
     random_linear_problem,
@@ -27,8 +26,8 @@ from .instances import (
     hjb_preset,
     speed_planning_problem,
 )
-from .lattice import NonConvergenceError, StartPointError
-from .linear import ProblemDataError, write_lp
+from .lattice import NonConvergenceError
+from .linear import write_lp
 from .oracle import verify_epsilon_solution
 from .queues import POLICIES
 
@@ -72,7 +71,8 @@ def _build_parser() -> _Parser:
     solve.add_argument("--method", default="selective-precond", choices=bench.METHODS)
     solve.add_argument("--policy", default="fifo", choices=POLICIES)
     solve.add_argument("--eps", type=float, default=1e-9)
-    solve.add_argument("--max-iter", type=int, default=100_000)
+    solve.add_argument("--max-iter", type=int, default=100_000,
+                       help="sweep cap of the fixed-* methods; selective methods ignore it")
     solve.add_argument("--out", default=None, help="write the solution report as JSON")
 
     sweep = sub.add_parser("sweep", help="run a benchmark sweep, write CSV")
@@ -89,7 +89,8 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--reps", type=int, default=5)
     sweep.add_argument("--seed", type=int, default=1)
     sweep.add_argument("--time-budget", type=float, default=None, help="seconds per run")
-    sweep.add_argument("--max-iter", type=int, default=100_000)
+    sweep.add_argument("--max-iter", type=int, default=100_000,
+                       help="sweep cap of the fixed-* methods; selective methods ignore it")
     sweep.add_argument("--out", required=True)
 
     export = sub.add_parser("export-lp", help="write the CPLEX-LP reformulation")
@@ -213,11 +214,8 @@ def main(argv=None) -> int:
         if args.command == "export-lp":
             return _cmd_export_lp(args)
         raise CliError(f"unknown command {args.command!r}")
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, InstanceFormatError, ProblemDataError, ValueError,
-            StartPointError, NonConvergenceError) as exc:
+    # ValueError covers InstanceFormatError, ProblemDataError and StartPointError
+    except (CliError, OSError, ValueError, NonConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

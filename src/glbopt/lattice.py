@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .queues import POLICIES, key_for, make_queue
+from .queues import POLICIES, make_queue
 
 
 class InvalidMapError(ValueError):
@@ -223,6 +223,18 @@ def _start(n: int, x0, eps: float, policy: str | None = None) -> tuple[np.ndarra
     return x, (None if n else _report(x, None, time.perf_counter(), eps, policy, None))
 
 
+def _check_start(xi: np.ndarray, eps: float) -> None:
+    """Raise :class:`StartPointError` when the start point's residual
+    ``xi = x0 - g(x0)`` is below ``-eps`` anywhere; names the worst component."""
+    bad = np.flatnonzero(xi < -eps)
+    if bad.size:
+        worst = int(bad[np.argmin(xi[bad])])
+        raise StartPointError(
+            f"x0 < g(x0) at component {worst} (xi = {xi[worst]:.3e} < -eps); "
+            "start from the cap vector or any point dominating its image"
+        )
+
+
 def _report(
     x: np.ndarray,
     a: np.ndarray | None,
@@ -349,18 +361,13 @@ def selective_update_solve(
 
     graph = build_dependency_graph(g)
     xi = x - g.eval(x)
-    bad = np.flatnonzero(xi < -eps)
-    if bad.size:
-        worst = int(bad[np.argmin(xi[bad])])
-        raise StartPointError(
-            f"x0 < g(x0) at component {worst} (xi = {xi[worst]:.3e} < -eps); "
-            "the selective solver needs a starting point dominating its image"
-        )
+    _check_start(xi, eps)
 
     queue = make_queue(policy)
+    variation = policy == "variation"  # key -xi, else x; fifo/lifo queues ignore it
     for i in range(n):
         if xi[i] > eps:
-            queue.enqueue(i, key_for(policy, i, float(x[i]), float(xi[i]), queue.insertions))
+            queue.enqueue(i, -float(xi[i]) if variation else float(x[i]))
 
     dequeues = 0
     updates = 0
@@ -380,7 +387,7 @@ def selective_update_solve(
             r = float(x[j]) - g.eval_component(j, x)
             xi[j] = r
             if r > eps:
-                queue.enqueue(j, key_for(policy, j, float(x[j]), r, queue.insertions))
+                queue.enqueue(j, -r if variation else float(x[j]))
         xi[i] = 0.0
 
     muls = (counter.multiplications - start_muls) if counter is not None else 0

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .lattice import OpCounter, SolveReport, StartPointError, _full_sweeps, _report, _start
+from .lattice import OpCounter, SolveReport, _check_start, _full_sweeps, _report, _start
 from .queues import QueueUnderflow, make_queue
 
 
@@ -86,6 +86,7 @@ class LinearGlbProblem:
             raise ProblemDataError(f"a must have shape ({n},), got {a.shape}")
 
         prepared = []
+        diagonal_free = True
         for ell, (A_like, b_like) in enumerate(pieces):
             A = _as_csr(A_like, n, ell)
             b = np.array(b_like, dtype=float)
@@ -112,6 +113,8 @@ class LinearGlbProblem:
                     sparse.coo_array((coo.data[keep], (coo.row[keep], coo.col[keep])), shape=(n, n))
                 )
                 b[bad] = U[bad]
+            # rows with a diagonal >= 1 were just dropped; what remains is 0 < d < 1
+            diagonal_free = diagonal_free and not np.any((0.0 < diag) & (diag < 1.0))
             for arr in (A.data, A.indices, A.indptr, b):
                 arr.setflags(write=False)
             prepared.append((A, b))
@@ -123,7 +126,8 @@ class LinearGlbProblem:
         self._pieces = tuple(prepared)
         self.meta = dict(meta) if meta else {}
         self._rates: tuple[float, float] | None = None
-        self._precond: "PreconditionedProblem | None" = None
+        self._diagonal_free = diagonal_free
+        self._precond: LinearGlbProblem | None = None
         self._tables = None
 
     # -- structure ---------------------------------------------------------
@@ -224,27 +228,17 @@ def contraction_rates(p: LinearGlbProblem) -> tuple[float, float]:
     return p._rates
 
 
-@dataclass(frozen=True)
-class PreconditionedProblem:
-    """Zero-diagonal reformulation of a :class:`LinearGlbProblem`.
-
-    ``problem`` holds the transformed pieces (same U, a, fixed point);
-    ``gamma`` is the source problem's rate and ``gamma_hat`` the transformed
-    rate, with ``gamma_hat <= gamma`` whenever ``gamma <= 1``.
-    """
-
-    problem: LinearGlbProblem
-    gamma: float
-    gamma_hat: float
-
-
-def precondition(p: LinearGlbProblem) -> PreconditionedProblem:
+def precondition(p: LinearGlbProblem) -> LinearGlbProblem:
     """Remove diagonals: each row is rescaled by 1/(1 - A_ii) and its diagonal zeroed.
 
-    The transformed problem has the same feasible set and fixed point; its
-    contraction rate improves from gamma to gamma_hat.  The result is cached
-    on the source problem.
+    The transformed problem has the same U, a, feasible set and fixed point;
+    its row-sum rate is, up to rounding, the source's gamma_hat (see
+    :func:`contraction_rates`).
+    A problem without diagonal entries is its own transform and is returned
+    as is; otherwise the result is cached on the source problem.
     """
+    if p._diagonal_free:
+        return p
     if p._precond is None:
         hat_pieces = []
         for A, b in p.pieces:
@@ -255,9 +249,7 @@ def precondition(p: LinearGlbProblem) -> PreconditionedProblem:
             data = coo.data[off] * scale[coo.row[off]]
             A_hat = sparse.coo_array((data, (coo.row[off], coo.col[off])), shape=A.shape)
             hat_pieces.append((A_hat, b * scale))
-        gamma, gamma_hat = contraction_rates(p)
-        hat = LinearGlbProblem(hat_pieces, p.U, p.a, meta=p.meta)
-        p._precond = PreconditionedProblem(problem=hat, gamma=gamma, gamma_hat=gamma_hat)
+        p._precond = LinearGlbProblem(hat_pieces, p.U, p.a, meta=p.meta)
     return p._precond
 
 
@@ -327,8 +319,8 @@ def selective_update_preconditioned(
     Converges to the same fixed point as :func:`selective_update_linear`
     but with rate gamma_hat <= gamma.
     """
-    pp = precondition(p)
-    return _selective_run(pp.problem, pp.gamma_hat, x0, eps, policy, monitor, debug_eta_every)
+    _, gamma_hat = contraction_rates(p)
+    return _selective_run(precondition(p), gamma_hat, x0, eps, policy, monitor, debug_eta_every)
 
 
 def _selective_run(p, rate, x0, eps, policy, monitor, debug_eta_every):
@@ -341,13 +333,7 @@ def _selective_run(p, rate, x0, eps, policy, monitor, debug_eta_every):
     gx = np.minimum.reduce(etas_np) if p.L else p.U.copy()
     gx = np.minimum(gx, p.U)
     xi_arr = x_arr - gx
-    bad = np.flatnonzero(xi_arr < -eps)
-    if bad.size:
-        worst = int(bad[np.argmin(xi_arr[bad])])
-        raise StartPointError(
-            f"x0 < g(x0) at component {worst} (xi = {xi_arr[worst]:.3e} < -eps); "
-            "start from the cap vector or any point dominating its image"
-        )
+    _check_start(xi_arr, eps)
 
     cols, touched, col_nnz, self_coupled = p._selective_tables()
     x = x_arr.tolist()
@@ -357,20 +343,10 @@ def _selective_run(p, rate, x0, eps, policy, monitor, debug_eta_every):
 
     queue = make_queue(policy)
     enqueue = queue.enqueue
-    # enqueue modes: the variation ordering needs true key replacement (its
-    # pending residuals only grow, so every re-touch improves the key); the
-    # value ordering keys on x[j], which is frozen while j is pending
-    variation = policy == "variation"
-    by_value = policy == "value"
-
+    variation = policy == "variation"  # key -xi, else x; fifo/lifo queues ignore it
     for i in range(p.n):
         if xi[i] > eps:
-            if variation:
-                enqueue(i, -xi[i])
-            elif by_value:
-                enqueue(i, x[i])
-            else:
-                enqueue(i, 0.0)
+            enqueue(i, -xi[i] if variation else x[i])
 
     dequeue = queue.dequeue
     dequeues = 0
@@ -403,12 +379,7 @@ def _selective_run(p, rate, x0, eps, policy, monitor, debug_eta_every):
             r = x[j] - m
             xi[j] = r
             if r > eps:
-                if variation:
-                    enqueue(j, -r)
-                elif by_value:
-                    enqueue(j, x[j])
-                else:
-                    enqueue(j, 0.0)
+                enqueue(j, -r if variation else x[j])
         if not self_coupled[i]:
             # with a nonzero diagonal the loop above just refreshed xi[i]
             xi[i] = 0.0
@@ -438,17 +409,15 @@ def fixed_point_linear(
     x0=None,
     eps: float = 1e-9,
     max_iter: int | None = None,
-    *,
-    preconditioned: bool = False,
 ) -> SolveReport:
-    """Full-sweep fixed-point iteration on the plain or preconditioned map,
-    with multiplication counting wired in (one per stored nonzero per sweep)."""
-    base = precondition(p).problem if preconditioned else p
+    """Full-sweep fixed-point iteration on the capped map of ``p``, with
+    multiplication counting wired in (one per stored nonzero per sweep).
+    ``fixed_point_linear(precondition(p))`` sweeps the preconditioned map."""
     counter = OpCounter()
-    gamma, _ = contraction_rates(base)
+    gamma, _ = contraction_rates(p)
     return _full_sweeps(
-        lambda x: base.glb_eval(x, counter), base.n, base.U if x0 is None else x0,
-        eps, max_iter, counter, gamma, base.a,
+        lambda x: p.glb_eval(x, counter), p.n, p.U if x0 is None else x0,
+        eps, max_iter, counter, gamma, p.a,
     )
 
 

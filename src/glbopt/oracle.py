@@ -39,15 +39,15 @@ def reference_solve(
     reach ``tol`` and the preconditioned contraction rate to be below one;
     otherwise the best iterate found is returned flagged uncertified.
     """
-    pp = precondition(p)
-    hat = pp.problem
+    hat = precondition(p)
+    _, gamma_hat = contraction_rates(p)
     x = p.U.copy()
     if p.n == 0:
         return OracleResult(x_star=x, residual=0.0, iterations=0, certified=True)
     if max_iter is None:
-        if pp.gamma_hat < 1.0:
+        if gamma_hat < 1.0:
             scale = max(float(np.max(np.abs(p.U - p.a))), tol)
-            max_iter = 50 + 10 * _geometric_iters(scale, tol, pp.gamma_hat)
+            max_iter = 50 + 10 * _geometric_iters(scale, tol, gamma_hat)
         else:
             max_iter = 200_000
     residual = float(np.max(np.abs(x - p.glb_eval(x))))
@@ -62,7 +62,7 @@ def reference_solve(
             residual = float(np.max(np.abs(x - p.glb_eval(x))))
             if residual > tol:
                 threshold /= 4.0
-    certified = residual <= tol and pp.gamma_hat < 1.0
+    certified = residual <= tol and gamma_hat < 1.0
     return OracleResult(x_star=x, residual=residual, iterations=iterations, certified=certified)
 
 

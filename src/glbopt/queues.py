@@ -140,12 +140,11 @@ class MinKeyQueue:
     PolicyQueue's replacement rule would do, so no stale entries arise.
     """
 
-    __slots__ = ("_heap", "_member", "insertions")
+    __slots__ = ("_heap", "_member")
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int]] = []
         self._member: set[int] = set()
-        self.insertions = 0
 
     def __len__(self) -> int:
         return len(self._member)
@@ -154,7 +153,6 @@ class MinKeyQueue:
         return index in self._member
 
     def enqueue(self, index: int, key: float) -> None:
-        self.insertions += 1
         if index not in self._member:
             self._member.add(index)
             heappush(self._heap, (key, index))
@@ -174,12 +172,11 @@ class FifoQueue:
     replacement rule never fires and membership alone suffices.
     """
 
-    __slots__ = ("_order", "_member", "insertions")
+    __slots__ = ("_order", "_member")
 
     def __init__(self) -> None:
         self._order: deque[int] = deque()
         self._member: set[int] = set()
-        self.insertions = 0
 
     def __len__(self) -> int:
         return len(self._member)
@@ -188,7 +185,6 @@ class FifoQueue:
         return index in self._member
 
     def enqueue(self, index: int, key: float = 0.0) -> None:
-        self.insertions += 1
         if index not in self._member:
             self._member.add(index)
             self._order.append(index)

@@ -172,7 +172,7 @@ def test_criterion_04_contraction_suite():
     for problem in checked:
         gamma, gamma_hat = contraction_rates(problem)
         assert gamma_hat <= gamma
-        hat = precondition(problem).problem
+        hat = precondition(problem)
         scale = float(np.max(problem.U))
         X = rng.uniform(0.0, min(scale, 50.0), size=(1000, problem.n))
         Y = rng.uniform(0.0, min(scale, 50.0), size=(1000, problem.n))
@@ -201,7 +201,7 @@ def test_criterion_05_preconditioned_map_strictly_closer():
         gamma_r, delta_r = dominant_diagonal_gap(problem)
         assert 0.0 <= delta_r < dominance_gap_limit(gamma_r), "instance not in the admissible band"
         x_star = reference_solve(problem).x_star
-        hat = precondition(problem).problem
+        hat = precondition(problem)
         for _ in range(100):
             x = x_star + rng.uniform(0.0, 1.0, problem.n) * rng.uniform(0.02, 2.0)
             lhs = float(np.max(np.abs(hat.glb_eval(x) - x_star)))

@@ -1,9 +1,14 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy import sparse
 
 from glbopt import (
+    GenericProblem,
     LinearGlbProblem,
+    MonotoneMap,
     OpCounter,
     ProblemDataError,
     RedundantRowWarning,
@@ -16,9 +21,11 @@ from glbopt import (
     reference_solve,
     selective_update_linear,
     selective_update_preconditioned,
+    selective_update_solve,
     to_lp_form,
     write_lp,
 )
+from glbopt.bench import SweepConfig, make_instance
 from glbopt.queues import POLICIES
 
 from suite_helpers import make_random_problem
@@ -124,24 +131,51 @@ class TestPrecondition:
     def test_worked_transform(self):
         p = LinearGlbProblem([(np.array([[0.5, 0.25], [0.0, 0.5]]), np.array([1.0, 2.0]))], U=[9.0, 9.0])
         pp = precondition(p)
-        A, b = pp.problem.pieces[0]
+        A, b = pp.pieces[0]
         assert np.allclose(A.toarray(), [[0.0, 0.5], [0.0, 0.0]])
         assert np.allclose(b, [2.0, 4.0])
-        assert pp.gamma == pytest.approx(0.75)
-        assert pp.gamma_hat == pytest.approx(0.5)
+        gamma, gamma_hat = contraction_rates(p)
+        assert gamma == pytest.approx(0.75)
+        assert gamma_hat == pytest.approx(0.5)
 
     def test_zero_diagonal_is_a_no_op(self, two_var):
         pp = precondition(two_var)
-        assert np.array_equal(pp.problem.pieces[0][0].toarray(), two_var.pieces[0][0].toarray())
-        assert np.array_equal(pp.problem.pieces[0][1], two_var.pieces[0][1])
-        assert pp.gamma_hat == pp.gamma
+        assert np.array_equal(pp.pieces[0][0].toarray(), two_var.pieces[0][0].toarray())
+        assert np.array_equal(pp.pieces[0][1], two_var.pieces[0][1])
+        gamma, gamma_hat = contraction_rates(two_var)
+        assert gamma_hat == gamma
+
+    def test_two_var_is_its_own_transform(self, two_var):
+        assert precondition(two_var) is two_var
+
+    @pytest.mark.parametrize("family", ["ba", "nws", "hk", "speedplan"])
+    def test_zero_diagonal_families_are_their_own_transform(self, family):
+        p = make_instance(SweepConfig(family=family), 60, seed=1)
+        assert precondition(p) is p
+
+    def test_diagonal_gives_a_cached_transform(self):
+        p = LinearGlbProblem([(np.array([[0.5, 0.25], [0.0, 0.0]]), np.ones(2))], U=[9.0, 9.0])
+        hat = precondition(p)
+        assert hat is not p
+        assert precondition(p) is hat
+
+    def test_solved_zero_diagonal_problem_is_freed_without_gc(self):
+        p = make_instance(SweepConfig(family="ba"), 200, seed=1)
+        selective_update_preconditioned(p, eps=1e-6)
+        ref = weakref.ref(p)
+        gc.disable()
+        try:
+            del p
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_uniform_diagonal_rate(self):
         # gamma = 0.75 with all diagonals 0.5 gives gamma_hat = 0.5
         A = np.array([[0.5, 0.25, 0.0], [0.0, 0.5, 0.25], [0.25, 0.0, 0.5]])
         p = LinearGlbProblem([(A, np.ones(3))], U=np.full(3, 9.0))
-        pp = precondition(p)
-        assert pp.gamma_hat == pytest.approx((0.75 - 0.5) / (1 - 0.5))
+        _, gamma_hat = contraction_rates(p)
+        assert gamma_hat == pytest.approx((0.75 - 0.5) / (1 - 0.5))
 
     def test_hat_problem_diagonals_are_zero(self):
         p = make_random_problem(seed=5, n=20, L=3, gamma=0.8)
@@ -151,7 +185,7 @@ class TestPrecondition:
             [(A0 + sparse.eye_array(20) * 0.4, b0)] + list(p.pieces[1:]), U=p.U, a=p.a
         )
         pp = precondition(mixed)
-        for A, b in pp.problem.pieces:
+        for A, b in pp.pieces:
             assert np.all(A.diagonal() == 0.0)
             assert np.all(b >= 0.0)
 
@@ -159,7 +193,7 @@ class TestPrecondition:
         p = LinearGlbProblem([(np.array([[0.5, 0.25], [0.1, 0.5]]), np.array([1.0, 2.0]))], U=[9.0, 9.0])
         pp = precondition(p)
         x_plain = reference_solve(p).x_star
-        x_hat = pp.problem.glb_eval(x_plain)
+        x_hat = pp.glb_eval(x_plain)
         assert np.allclose(x_hat, x_plain, atol=1e-11)
 
 
@@ -193,6 +227,17 @@ class TestSelectiveLinear:
     def test_start_below_image_rejected(self, two_var):
         with pytest.raises(StartPointError):
             selective_update_linear(two_var, x0=np.zeros(2), eps=1e-9)
+
+    def test_start_point_message_matches_generic_solver(self, two_var):
+        # g(1, 0) = (1, 1.5): component 1 starts 1.5 below its image
+        x0 = np.array([1.0, 0.0])
+        g = MonotoneMap(2, lambda i, x: two_var.glb_eval(x)[i], lambda i: [1 - i], cap=two_var.U)
+        with pytest.raises(StartPointError) as generic:
+            selective_update_solve(GenericProblem(g=g, a=two_var.a), x0=x0, eps=1e-9)
+        with pytest.raises(StartPointError) as linear:
+            selective_update_linear(two_var, x0=x0, eps=1e-9)
+        assert "component 1" in str(generic.value)
+        assert str(linear.value) == str(generic.value)
 
     def test_diagonal_instance_still_reaches_eps_solution(self):
         # plain map with a substantial diagonal: the self-column must be reprocessed
@@ -260,7 +305,7 @@ class TestLipschitzProperties:
         Y = rng.uniform(0, 15, size=(400, p.n))
         dist = np.max(np.abs(X - Y), axis=1)
         plain = np.max(np.abs(p.glb_eval_batch(X) - p.glb_eval_batch(Y)), axis=1)
-        hat = np.max(np.abs(pp.problem.glb_eval_batch(X) - pp.problem.glb_eval_batch(Y)), axis=1)
+        hat = np.max(np.abs(pp.glb_eval_batch(X) - pp.glb_eval_batch(Y)), axis=1)
         assert np.all(plain <= gamma * dist)
         assert np.all(hat <= gamma_hat * dist)
 
@@ -277,7 +322,7 @@ class TestPreconditionedAdvantage:
         rng = np.random.default_rng(8)
         for _ in range(100):
             x = x_star + rng.uniform(0.0, 1.0, p.n) * rng.uniform(0.05, 3.0)
-            lhs = float(np.max(np.abs(pp.problem.glb_eval(x) - x_star)))
+            lhs = float(np.max(np.abs(pp.glb_eval(x) - x_star)))
             rhs = float(np.max(np.abs(p.glb_eval(x) - x_star)))
             assert lhs < rhs
 
@@ -354,7 +399,7 @@ class TestSolverAgreement:
             selective_update_linear(p, eps=eps, policy="variation").x,
             selective_update_preconditioned(p, eps=eps, policy="fifo").x,
             fixed_point_linear(p, eps=eps).x,
-            fixed_point_linear(p, eps=eps, preconditioned=True).x,
+            fixed_point_linear(precondition(p), eps=eps).x,
         ]
         for a in range(len(runs)):
             for b in range(a + 1, len(runs)):

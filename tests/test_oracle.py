@@ -140,5 +140,5 @@ class TestFeasibleSampling:
 
 def test_preconditioned_residual_agrees_at_oracle(two_var):
     res = reference_solve(two_var)
-    hat = precondition(two_var).problem
+    hat = precondition(two_var)
     assert float(np.max(np.abs(res.x_star - hat.glb_eval(res.x_star)))) <= 2e-12
