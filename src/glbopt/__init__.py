@@ -43,11 +43,9 @@ from .linear import (
 from .queues import (
     POLICIES,
     FifoQueue,
+    HeapQueue,
     LifoQueue,
-    MinKeyQueue,
-    PolicyQueue,
     QueueUnderflow,
-    key_for,
     make_queue,
 )
 from .instances import (
@@ -90,8 +88,7 @@ __all__ = [
     "dominant_diagonal_gap", "fixed_point_linear", "precondition",
     "dominance_gap_limit", "selective_update_linear", "selective_update_preconditioned",
     "to_lp_form", "write_lp",
-    "POLICIES", "FifoQueue", "LifoQueue", "MinKeyQueue", "PolicyQueue",
-    "QueueUnderflow", "key_for", "make_queue",
+    "POLICIES", "FifoQueue", "HeapQueue", "LifoQueue", "QueueUnderflow", "make_queue",
     "HjbGridSpec", "InstanceFormatError", "RandomGraph", "SpeedPlanSpec",
     "dominant_diagonal_problem", "gen_graph", "hjb_grid_problem",
     "load_curvature_csv", "load_instance", "maneuver_time", "manipulator_problem",

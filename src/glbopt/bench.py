@@ -56,17 +56,19 @@ def solve_with_method(
 ) -> SolveReport:
     """Dispatch one solver run.
 
-    ``policy`` is ignored by the fixed-point methods.  ``max_iter`` caps the
-    sweeps of the ``fixed-*`` methods; the selective methods ignore it.
+    ``policy`` is ignored by the fixed-point methods.  ``max_iter`` caps every
+    method by the work of that many full sweeps: the ``fixed-*`` methods stop
+    after ``max_iter`` sweeps, the selective methods after ``max_iter * n``
+    component updates, either way raising ``NonConvergenceError``.
     """
     if method == "fixed-plain":
         return fixed_point_linear(problem, eps=eps, max_iter=max_iter)
     if method == "fixed-precond":
         return fixed_point_linear(precondition(problem), eps=eps, max_iter=max_iter)
     if method == "selective-plain":
-        return selective_update_linear(problem, eps=eps, policy=policy)
+        return selective_update_linear(problem, eps=eps, policy=policy, max_iter=max_iter)
     if method == "selective-precond":
-        return selective_update_preconditioned(problem, eps=eps, policy=policy)
+        return selective_update_preconditioned(problem, eps=eps, policy=policy, max_iter=max_iter)
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 

@@ -72,7 +72,8 @@ def _build_parser() -> _Parser:
     solve.add_argument("--policy", default="fifo", choices=POLICIES)
     solve.add_argument("--eps", type=float, default=1e-9)
     solve.add_argument("--max-iter", type=int, default=100_000,
-                       help="sweep cap of the fixed-* methods; selective methods ignore it")
+                       help="work cap in full sweeps; selective methods stop "
+                            "after max-iter * n component updates")
     solve.add_argument("--out", default=None, help="write the solution report as JSON")
 
     sweep = sub.add_parser("sweep", help="run a benchmark sweep, write CSV")
@@ -90,7 +91,8 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--seed", type=int, default=1)
     sweep.add_argument("--time-budget", type=float, default=None, help="seconds per run")
     sweep.add_argument("--max-iter", type=int, default=100_000,
-                       help="sweep cap of the fixed-* methods; selective methods ignore it")
+                       help="work cap in full sweeps; selective methods stop "
+                            "after max-iter * n component updates")
     sweep.add_argument("--out", required=True)
 
     export = sub.add_parser("export-lp", help="write the CPLEX-LP reformulation")

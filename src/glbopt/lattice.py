@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .queues import POLICIES, make_queue
+from .queues import POLICIES, QueueUnderflow, make_queue
 
 
 class InvalidMapError(ValueError):
@@ -278,6 +278,21 @@ def _default_sweep_cap(rate: float | None, lower_bound, x0: np.ndarray, eps: flo
     return 10 * math.ceil(math.log(scale / eps) / math.log(1.0 / rate))
 
 
+def _update_budget(max_iter: int | None, n: int) -> float:
+    """Component updates a selective run may make: the work of ``max_iter``
+    full sweeps, unbounded when ``max_iter`` is None."""
+    return math.inf if max_iter is None else max_iter * n
+
+
+def _out_of_updates(x, xi, budget: float, eps: float) -> NonConvergenceError:
+    """The error a selective run raises when it needs more than ``budget`` updates."""
+    r = max(0.0, float(np.max(xi)))
+    return NonConvergenceError(
+        f"no eps-solution after {budget} component updates (residual {r:.3e} > eps {eps:.3e})",
+        x=np.array(x, dtype=float), residual_inf=r,
+    )
+
+
 def _full_sweeps(
     evaluate: Callable[[np.ndarray], np.ndarray],
     n: int,
@@ -340,13 +355,17 @@ def selective_update_solve(
     *,
     monitor: Callable[[np.ndarray, np.ndarray], None] | None = None,
     counter: OpCounter | None = None,
+    max_iter: int | None = None,
 ) -> SolveReport:
     """Priority-queue selective update for a generic monotone problem.
 
     Starting from ``x0`` (default: the cap vector) with ``x0 >= g(x0)``, the
     solver re-evaluates only the component maps affected by the last change,
     ordered by ``policy``.  On exit the queue is empty, every stored residual
-    is at most ``eps``, and the feasible flag records ``x >= a``.
+    is at most ``eps``, and the feasible flag records ``x >= a``.  A run that
+    needs more than ``max_iter * n`` component updates (the work of
+    ``max_iter`` full sweeps) raises :class:`NonConvergenceError` carrying
+    the iterate; ``None`` sets no budget.
 
     ``monitor``, when given, is called with the live ``(x, xi)`` arrays at
     every main-loop head; it must not mutate them.
@@ -364,30 +383,35 @@ def selective_update_solve(
     _check_start(xi, eps)
 
     queue = make_queue(policy)
-    variation = policy == "variation"  # key -xi, else x; fifo/lifo queues ignore it
     for i in range(n):
         if xi[i] > eps:
-            queue.enqueue(i, -float(xi[i]) if variation else float(x[i]))
+            queue.enqueue(i, float(x[i]), float(xi[i]))
 
+    budget = _update_budget(max_iter, n)
     dequeues = 0
     updates = 0
     neighbors = graph.out_neighbors
-    while len(queue):
+    while True:
         if monitor is not None:
             monitor(x, xi)
-        i = queue.dequeue()
+        try:
+            i = queue.dequeue()
+        except QueueUnderflow:
+            break
         dequeues += 1
         v = float(xi[i])
         if v <= 0.0:
             # Stale entry whose residual was recomputed away; nothing to do.
             continue
+        if updates >= budget:
+            raise _out_of_updates(x, xi, budget, eps)
         x[i] -= v
         updates += 1
         for j in neighbors[i]:
             r = float(x[j]) - g.eval_component(j, x)
             xi[j] = r
             if r > eps:
-                queue.enqueue(j, -r if variation else float(x[j]))
+                queue.enqueue(j, float(x[j]), r)
         xi[i] = 0.0
 
     muls = (counter.multiplications - start_muls) if counter is not None else 0

@@ -18,7 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .lattice import OpCounter, SolveReport, _check_start, _full_sweeps, _report, _start
+from .lattice import (
+    OpCounter, SolveReport, _check_start, _full_sweeps, _out_of_updates, _report, _start,
+    _update_budget,
+)
 from .queues import QueueUnderflow, make_queue
 
 
@@ -288,12 +291,16 @@ def selective_update_linear(
     *,
     monitor=None,
     debug_eta_every: int | None = None,
+    max_iter: int | None = None,
 ) -> SolveReport:
     """Selective update on the plain capped map with incremental residuals.
 
     Maintains ``eta_l = A_l x + b_l`` across updates: changing ``x_i`` only
     adjusts the eta entries in column i's sparsity, one counted multiplication
     each.  ``x0`` defaults to the cap and must dominate its own image.
+    A run that needs more than ``max_iter * n`` component updates (the work
+    of ``max_iter`` full sweeps) raises :class:`NonConvergenceError` carrying
+    the iterate; ``None`` sets no budget.
 
     ``monitor(x, xi)`` is called with the live state lists at every main-loop
     head; ``debug_eta_every`` recomputes the eta vectors from scratch every
@@ -302,7 +309,7 @@ def selective_update_linear(
     n*L*machine-epsilon budget.  Release mode (None) never refreshes.
     """
     gamma, _ = contraction_rates(p)
-    return _selective_run(p, gamma, x0, eps, policy, monitor, debug_eta_every)
+    return _selective_run(p, gamma, x0, eps, policy, monitor, debug_eta_every, max_iter)
 
 
 def selective_update_preconditioned(
@@ -313,6 +320,7 @@ def selective_update_preconditioned(
     *,
     monitor=None,
     debug_eta_every: int | None = None,
+    max_iter: int | None = None,
 ) -> SolveReport:
     """Selective update iterating the preconditioned (zero-diagonal) map.
 
@@ -320,10 +328,11 @@ def selective_update_preconditioned(
     but with rate gamma_hat <= gamma.
     """
     _, gamma_hat = contraction_rates(p)
-    return _selective_run(precondition(p), gamma_hat, x0, eps, policy, monitor, debug_eta_every)
+    return _selective_run(precondition(p), gamma_hat, x0, eps, policy, monitor,
+                          debug_eta_every, max_iter)
 
 
-def _selective_run(p, rate, x0, eps, policy, monitor, debug_eta_every):
+def _selective_run(p, rate, x0, eps, policy, monitor, debug_eta_every, max_iter):
     x_arr, empty = _start(p.n, p.U if x0 is None else x0, eps, policy)
     if empty is not None:
         return empty
@@ -343,11 +352,11 @@ def _selective_run(p, rate, x0, eps, policy, monitor, debug_eta_every):
 
     queue = make_queue(policy)
     enqueue = queue.enqueue
-    variation = policy == "variation"  # key -xi, else x; fifo/lifo queues ignore it
     for i in range(p.n):
         if xi[i] > eps:
-            enqueue(i, -xi[i] if variation else x[i])
+            enqueue(i, x[i], xi[i])
 
+    budget = _update_budget(max_iter, p.n)
     dequeue = queue.dequeue
     dequeues = 0
     updates = 0
@@ -363,6 +372,8 @@ def _selective_run(p, rate, x0, eps, policy, monitor, debug_eta_every):
         v = xi[i]
         if v <= 0.0:
             continue  # stale entry; residual already resolved by a neighbor update
+        if updates >= budget:
+            raise _out_of_updates(x, xi, budget, eps)
         x[i] -= v
         updates += 1
         for ell, pairs in cols[i]:
@@ -379,7 +390,7 @@ def _selective_run(p, rate, x0, eps, policy, monitor, debug_eta_every):
             r = x[j] - m
             xi[j] = r
             if r > eps:
-                enqueue(j, -r if variation else x[j])
+                enqueue(j, x[j], r)
         if not self_coupled[i]:
             # with a nonzero diagonal the loop above just refreshed xi[i]
             xi[i] = 0.0
@@ -443,38 +454,12 @@ def to_lp_form(p: LinearGlbProblem) -> LpForm:
     """Rows ``x_i - A_l[i,:] x - b_l[i] <= 0`` (diagonal merged into the
     positive coefficient ``1 - A_l[i,i]``) plus the cap rows ``x_i <= U_i``."""
     n = p.n
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    d: list[float] = []
-    names: list[str] = []
-    r = 0
-    for ell, (A, b) in enumerate(p.pieces):
-        for i in range(n):
-            lo, hi = A.indptr[i], A.indptr[i + 1]
-            diag = 0.0
-            for j, v in zip(A.indices[lo:hi], A.data[lo:hi]):
-                if j == i:
-                    diag = v
-                else:
-                    rows.append(r)
-                    cols.append(int(j))
-                    vals.append(-float(v))
-            rows.append(r)
-            cols.append(i)
-            vals.append(1.0 - float(diag))
-            d.append(-float(b[i]))
-            names.append(f"c_{ell + 1}_{i + 1}")
-            r += 1
-    for i in range(n):
-        rows.append(r)
-        cols.append(i)
-        vals.append(1.0)
-        d.append(-float(p.U[i]))
-        names.append(f"cap_{i + 1}")
-        r += 1
-    C = sparse.csr_array(sparse.coo_array((vals, (rows, cols)), shape=(r, n)))
-    return LpForm(C=C, d=np.array(d), U=p.U.copy(), n=n, row_names=tuple(names))
+    eye = sparse.eye_array(n, format="csr")
+    C = sparse.vstack([eye - A for A, _ in p.pieces] + [eye], format="csr")
+    d = -np.concatenate([b for _, b in p.pieces] + [p.U])
+    names = [f"c_{ell + 1}_{i + 1}" for ell in range(p.L) for i in range(n)]
+    names += [f"cap_{i + 1}" for i in range(n)]
+    return LpForm(C=C, d=d, U=p.U.copy(), n=n, row_names=tuple(names))
 
 
 def _fmt(v: float) -> str:

@@ -108,7 +108,9 @@ class TestSweep:
         config = SweepConfig(
             family="file", instance_path=str(path), sizes=(2,), tolerances=(1e-12,),
             methods=("fixed-plain", "selective-plain"), policies=("fifo",),
-            repetitions=1, max_iter=2,  # starves the fixed-point iteration
+            # starves the fixed-point iteration (43 sweeps needed), not the
+            # selective run (44 updates needed, 30 * n = 60 allowed)
+            repetitions=1, max_iter=30,
         )
         messages = []
         rows = run_sweep(config, log=messages.append)

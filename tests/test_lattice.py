@@ -249,6 +249,14 @@ class TestSelectiveUpdateSolve:
                 assert np.all(x <= heads[k - 1][0])
         assert np.all(report.x <= heads[-1][0])
 
+    def test_update_budget_is_max_iter_sweeps_of_work(self):
+        # the run needs 34 updates: 17 sweeps' worth at n = 2
+        report = selective_update_solve(generic_two_var(), eps=1e-9, max_iter=17)
+        assert report.component_updates == 34
+        with pytest.raises(NonConvergenceError, match="after 32 component updates") as info:
+            selective_update_solve(generic_two_var(), eps=1e-9, max_iter=16)
+        assert info.value.residual_inf > 1e-9 and info.value.x.shape == (2,)
+
     def test_multiplication_counter_via_adapter(self):
         counter = OpCounter()
         report = selective_update_solve(generic_two_var(counter=counter), eps=1e-9,

@@ -9,12 +9,14 @@ from glbopt import (
     GenericProblem,
     LinearGlbProblem,
     MonotoneMap,
+    NonConvergenceError,
     OpCounter,
     ProblemDataError,
     RedundantRowWarning,
     StartPointError,
     contraction_rates,
     dominant_diagonal_gap,
+    dominant_diagonal_problem,
     fixed_point_linear,
     precondition,
     dominance_gap_limit,
@@ -25,7 +27,7 @@ from glbopt import (
     to_lp_form,
     write_lp,
 )
-from glbopt.bench import SweepConfig, make_instance
+from glbopt.bench import SweepConfig, make_instance, solve_with_method
 from glbopt.queues import POLICIES
 
 from suite_helpers import make_random_problem
@@ -292,6 +294,20 @@ class TestSelectiveLinear:
         report = selective_update_linear(p, eps=1e-9)
         assert report.x.size == 0 and report.feasible
 
+    @pytest.mark.parametrize("solver", [selective_update_linear, selective_update_preconditioned])
+    def test_update_budget_is_max_iter_sweeps_of_work(self, two_var, solver):
+        # the run needs 34 updates (TestCounterDiscipline): 17 sweeps' worth at n = 2
+        assert solver(two_var, eps=1e-9, max_iter=17).component_updates == 34
+        with pytest.raises(NonConvergenceError, match="after 32 component updates") as info:
+            solver(two_var, eps=1e-9, max_iter=16)
+        assert info.value.residual_inf > 1e-9 and info.value.x.shape == (2,)
+
+    def test_update_budget_stops_a_long_value_run(self):
+        # without a budget this run makes about 15M component updates
+        p = dominant_diagonal_problem(12, 2, gamma=0.9, delta=0.3, seed=5)
+        with pytest.raises(NonConvergenceError, match="after 12000 component updates"):
+            solve_with_method(p, "selective-plain", policy="value", eps=1e-9, max_iter=1000)
+
 
 class TestLipschitzProperties:
     @pytest.mark.parametrize("seed", [3, 4, 5])
@@ -355,6 +371,33 @@ class TestLpForm:
         p = LinearGlbProblem([(np.array([[0.5, 0.0], [0.0, 0.0]]), np.ones(2))], U=[9.0, 9.0])
         form = to_lp_form(p)
         assert form.C.toarray()[0, 0] == 0.5  # 1 - 0.5
+
+    @pytest.mark.parametrize("family", ["ba", "hjb", "speedplan"])
+    def test_matches_row_by_row_construction(self, family):
+        # reference: each glb row built entry by entry, diagonal merged into 1 - A_ii
+        p = make_instance(SweepConfig(family=family), 40, 3)
+        entries, d = [], []  # (row, col, value) triplets, offsets
+        for A, b in p.pieces:
+            for i in range(p.n):
+                lo, hi = A.indptr[i], A.indptr[i + 1]
+                diag = 0.0
+                for j, v in zip(A.indices[lo:hi], A.data[lo:hi]):
+                    if j == i:
+                        diag = v
+                    else:
+                        entries.append((len(d), j, -v))
+                entries.append((len(d), i, 1.0 - diag))
+                d.append(-b[i])
+        for i in range(p.n):
+            entries.append((len(d), i, 1.0))
+            d.append(-p.U[i])
+        rows, cols, vals = zip(*entries)
+        ref = sparse.csr_array(sparse.coo_array((vals, (rows, cols)), shape=(len(d), p.n)))
+        form = to_lp_form(p)
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(form.C, attr), getattr(ref, attr))
+        assert np.array_equal(form.d, d)
+        assert len(form.row_names) == len(d)
 
     def test_feasible_sets_agree_by_sampling(self):
         p = make_random_problem(seed=13, n=3, L=2, gamma=0.6, cap=2.0)

@@ -1,86 +1,81 @@
 import numpy as np
 import pytest
 
-from glbopt import FifoQueue, LifoQueue, PolicyQueue, QueueUnderflow, key_for, make_queue
-from glbopt.queues import MinKeyQueue, POLICIES
+from glbopt import FifoQueue, HeapQueue, LifoQueue, QueueUnderflow, make_queue
+from glbopt.queues import POLICIES
 
 
-def test_key_for_variation_prefers_larger_residual():
-    big = key_for("variation", 1, 0.0, 4.0, 0)
-    small = key_for("variation", 2, 0.0, 1.0, 0)
-    assert big == -4.0
-    assert big < small  # served first under min-order
+def keyed_queue():
+    """The value-ordered heap, whose key is the ``x_i`` argument itself."""
+    return make_queue("value")
 
 
-def test_key_for_value_prefers_smaller_component():
-    assert key_for("value", 1, 0.5, 1.0, 0) < key_for("value", 2, 3.0, 1.0, 0)
-
-
-def test_key_for_fifo_lifo_use_counter():
-    assert key_for("fifo", 0, 0.0, 0.0, 1) < key_for("fifo", 0, 0.0, 0.0, 2)
-    assert key_for("lifo", 0, 0.0, 0.0, 2) < key_for("lifo", 0, 0.0, 0.0, 1)
-
-
-def test_key_for_rejects_unknown_policy():
-    with pytest.raises(ValueError, match="unknown policy"):
-        key_for("random", 0, 0.0, 0.0, 0)
+def drain(q):
+    return [q.dequeue() for _ in range(len(q))]
 
 
 def test_enqueue_inserts_new_index():
-    q = PolicyQueue()
-    q.enqueue(3, 5.0)
-    assert len(q) == 1 and 3 in q and q.key_of(3) == 5.0
+    q = keyed_queue()
+    q.enqueue(3, 5.0, 0.0)
+    assert len(q) == 1 and drain(q) == [3]
 
 
 def test_enqueue_replaces_on_strictly_better_key():
-    q = PolicyQueue()
-    q.enqueue(3, 5.0)
-    q.enqueue(3, 2.0)
-    assert len(q) == 1 and q.key_of(3) == 2.0
+    q = keyed_queue()
+    q.enqueue(3, 5.0, 0.0)
+    q.enqueue(1, 3.0, 0.0)
+    q.enqueue(3, 2.0, 0.0)
+    assert len(q) == 2 and drain(q) == [3, 1]
+    with pytest.raises(QueueUnderflow):  # the replaced pair is not served again
+        q.dequeue()
 
 
 def test_enqueue_keeps_existing_on_worse_or_equal_key():
-    q = PolicyQueue()
-    q.enqueue(3, 2.0)
-    q.enqueue(3, 5.0)
-    assert q.key_of(3) == 2.0
-    q.enqueue(3, 2.0)
-    assert q.key_of(3) == 2.0
+    q = keyed_queue()
+    q.enqueue(3, 2.0, 0.0)
+    q.enqueue(1, 3.0, 0.0)
+    q.enqueue(3, 5.0, 0.0)
+    q.enqueue(3, 2.0, 0.0)
+    assert len(q) == 2 and drain(q) == [3, 1]
 
 
 def test_dequeue_extracts_minimum_key():
-    q = PolicyQueue()
-    q.enqueue(1, 3.0)
-    q.enqueue(2, 1.0)
+    q = keyed_queue()
+    q.enqueue(1, 3.0, 0.0)
+    q.enqueue(2, 1.0, 0.0)
     assert q.dequeue() == 2
-    assert len(q) == 1 and 1 in q
+    assert len(q) == 1 and drain(q) == [1]
 
 
 def test_dequeue_breaks_ties_toward_lowest_index():
-    q = PolicyQueue()
-    q.enqueue(2, 1.0)
-    q.enqueue(1, 1.0)
+    q = keyed_queue()
+    q.enqueue(2, 1.0, 0.0)
+    q.enqueue(1, 1.0, 0.0)
     assert q.dequeue() == 1
 
 
 def test_dequeue_singleton_then_underflow():
-    q = PolicyQueue()
-    q.enqueue(7, 0.0)
+    q = keyed_queue()
+    q.enqueue(7, 0.0, 0.0)
     assert q.dequeue() == 7
     assert len(q) == 0
     with pytest.raises(QueueUnderflow):
         q.dequeue()
 
 
-def test_insertion_counter_counts_every_call():
-    q = PolicyQueue()
-    q.enqueue(1, 1.0)
-    q.enqueue(1, 9.0)  # rejected, still counted
-    assert q.insertions == 2
+def test_variation_serves_largest_residual_and_value_smallest_component():
+    by_variation, by_value = make_queue("variation"), make_queue("value")
+    for index, x_i, xi_i in ((0, 1.0, 1.0), (1, 3.0, 4.0), (2, 2.0, 2.0)):
+        by_variation.enqueue(index, x_i, xi_i)
+        by_value.enqueue(index, x_i, xi_i)
+    assert drain(by_variation) == [1, 2, 0]
+    assert drain(by_value) == [0, 2, 1]
 
 
 class ReferenceQueue:
-    """Sorted-list model of the replacement/extraction semantics."""
+    """Sorted-dict model of the replacement/extraction semantics: one entry
+    per index, replaced only by a strictly smaller key, smallest key first,
+    ties to the lowest index."""
 
     def __init__(self):
         self.entries = {}
@@ -98,98 +93,91 @@ class ReferenceQueue:
         return len(self.entries)
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_heap_matches_reference_model_under_fuzz(seed):
+# Each policy's ordering as a ReferenceQueue key; ``count`` numbers the
+# enqueue calls from 1.
+KEY_RULES = {
+    "variation": lambda x_i, xi_i, count: -xi_i,
+    "value": lambda x_i, xi_i, count: x_i,
+    "fifo": lambda x_i, xi_i, count: count,
+    "lifo": lambda x_i, xi_i, count: -count,
+}
+
+
+def assert_matches_reference(policy, seed, n=30, steps=2500):
+    """Drive ``make_queue(policy)`` and the model with random operations.
+
+    Integer values force frequent ties.  ``x_i`` stays frozen while ``i`` is
+    pending, as in the solvers, where a component changes only when served.
+    """
     rng = np.random.default_rng(seed)
-    q, ref = PolicyQueue(), ReferenceQueue()
-    n = 40
-    for _ in range(3000):
+    q, ref = make_queue(policy), ReferenceQueue()
+    pending_x = {}
+    count = 0
+    for _ in range(steps):
         if len(ref) and rng.random() < 0.4:
-            assert q.dequeue() == ref.dequeue()
+            index = ref.dequeue()
+            assert q.dequeue() == index
+            del pending_x[index]
         else:
             index = int(rng.integers(n))
-            key = float(rng.integers(-50, 50))  # integer keys force frequent ties
-            q.enqueue(index, key)
-            ref.enqueue(index, key)
+            x_i = pending_x.setdefault(index, float(rng.integers(-40, 40)))
+            xi_i = float(rng.integers(-50, 50))
+            count += 1
+            q.enqueue(index, x_i, xi_i)
+            ref.enqueue(index, KEY_RULES[policy](x_i, xi_i, count))
         assert len(q) == len(ref) <= n
     while len(ref):
         assert q.dequeue() == ref.dequeue()
+    with pytest.raises(QueueUnderflow):
+        q.dequeue()
 
 
-def test_fifo_dequeues_in_first_insertion_order():
-    q = FifoQueue()
-    for i in (4, 2, 9, 2, 4, 7):
-        q.enqueue(i)
-    assert [q.dequeue() for _ in range(len(q))] == [4, 2, 9, 7]
-
-
-def test_lifo_dequeues_in_reverse_order_with_move_to_top():
-    q = LifoQueue()
-    for i in (4, 2, 9):
-        q.enqueue(i)
-    assert [q.dequeue() for _ in range(len(q))] == [9, 2, 4]
-    for i in (4, 2, 9, 4):  # re-push of 4 moves it to the top
-        q.enqueue(i)
-    assert [q.dequeue() for _ in range(len(q))] == [4, 9, 2]
+@pytest.mark.parametrize("seed", range(8))
+def test_heap_matches_reference_model_under_fuzz(seed):
+    # variation keys change freely while pending: replacement and stale pairs
+    assert_matches_reference("variation", seed)
 
 
 @pytest.mark.parametrize("policy", ["fifo", "lifo"])
 @pytest.mark.parametrize("seed", range(5))
 def test_fast_paths_match_heap_behavior(policy, seed):
-    rng = np.random.default_rng(100 + seed)
-    fast = make_queue(policy)
-    heap = PolicyQueue()
-    outcomes_fast, outcomes_heap = [], []
-    for _ in range(2000):
-        if len(fast) and rng.random() < 0.45:
-            outcomes_fast.append(fast.dequeue())
-            outcomes_heap.append(heap.dequeue())
-        else:
-            index = int(rng.integers(30))
-            heap.enqueue(index, key_for(policy, index, 0.0, 0.0, heap.insertions))
-            fast.enqueue(index, 0.0)
-    while len(fast):
-        outcomes_fast.append(fast.dequeue())
-        outcomes_heap.append(heap.dequeue())
-    assert outcomes_fast == outcomes_heap
+    assert_matches_reference(policy, 100 + seed)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_min_key_fast_path_matches_heap_under_frozen_keys(seed):
-    # keys may repeat but a pending index is never offered a smaller key,
-    # mirroring how the value ordering uses the queue
-    rng = np.random.default_rng(200 + seed)
-    fast, heap = MinKeyQueue(), PolicyQueue()
-    key_of = {}
-    out_fast, out_heap = [], []
-    for _ in range(2500):
-        if len(fast) and rng.random() < 0.45:
-            a, b = fast.dequeue(), heap.dequeue()
-            key_of.pop(a, None)
-            out_fast.append(a)
-            out_heap.append(b)
-        else:
-            index = int(rng.integers(30))
-            key = key_of.setdefault(index, float(rng.integers(-40, 40)))
-            fast.enqueue(index, key)
-            heap.enqueue(index, key)
-    while len(fast):
-        out_fast.append(fast.dequeue())
-        out_heap.append(heap.dequeue())
-    assert out_fast == out_heap
+    assert_matches_reference("value", 200 + seed)
+
+
+def test_fifo_dequeues_in_first_insertion_order():
+    q = FifoQueue()
+    for i in (4, 2, 9, 2, 4, 7):
+        q.enqueue(i, 0.0, 0.0)
+    assert drain(q) == [4, 2, 9, 7]
+
+
+def test_lifo_dequeues_in_reverse_order_with_move_to_top():
+    q = LifoQueue()
+    for i in (4, 2, 9):
+        q.enqueue(i, 0.0, 0.0)
+    assert drain(q) == [9, 2, 4]
+    for i in (4, 2, 9, 4):  # re-push of 4 moves it to the top
+        q.enqueue(i, 0.0, 0.0)
+    assert drain(q) == [4, 9, 2]
 
 
 def test_min_key_queue_underflow():
-    q = MinKeyQueue()
-    q.enqueue(1, 0.5)
+    q = make_queue("value")
+    q.enqueue(1, 0.5, 1.0)
+    q.enqueue(1, 0.5, 2.0)  # frozen value key: the pending entry is kept
     assert q.dequeue() == 1
     with pytest.raises(QueueUnderflow):
         q.dequeue()
 
 
 def test_make_queue_covers_all_policies():
-    assert isinstance(make_queue("variation"), PolicyQueue)
-    assert isinstance(make_queue("value"), MinKeyQueue)
+    assert isinstance(make_queue("variation"), HeapQueue)
+    assert isinstance(make_queue("value"), HeapQueue)
     assert isinstance(make_queue("fifo"), FifoQueue)
     assert isinstance(make_queue("lifo"), LifoQueue)
     with pytest.raises(ValueError):
