@@ -63,13 +63,19 @@ def test_dequeue_singleton_then_underflow():
         q.dequeue()
 
 
-def test_variation_serves_largest_residual_and_value_smallest_component():
-    by_variation, by_value = make_queue("variation"), make_queue("value")
+def fill(policy):
+    q = make_queue(policy)
     for index, x_i, xi_i in ((0, 1.0, 1.0), (1, 3.0, 4.0), (2, 2.0, 2.0)):
-        by_variation.enqueue(index, x_i, xi_i)
-        by_value.enqueue(index, x_i, xi_i)
-    assert drain(by_variation) == [1, 2, 0]
-    assert drain(by_value) == [0, 2, 1]
+        q.enqueue(index, x_i, xi_i)
+    return q
+
+
+def test_key_for_variation_prefers_larger_residual():
+    assert drain(fill("variation")) == [1, 2, 0]
+
+
+def test_key_for_value_prefers_smaller_component():
+    assert drain(fill("value")) == [0, 2, 1]
 
 
 class ReferenceQueue:
