@@ -697,7 +697,8 @@ def save_instance(p: LinearGlbProblem, path) -> None:
         coo = A.tocoo()
         order = np.lexsort((coo.col, coo.row))
         doc["pieces"].append({
-            "A": [[int(coo.row[k]), int(coo.col[k]), float(coo.data[k])] for k in order],
+            "A": tuple(zip(coo.row[order].tolist(), coo.col[order].tolist(),
+                           coo.data[order].tolist())),
             "b": b.tolist(),
         })
     with open(path, "w", encoding="utf-8") as fh:
@@ -725,12 +726,12 @@ def load_instance(path) -> LinearGlbProblem:
         if key not in doc:
             raise InstanceFormatError(f"{path}: missing required field {key!r}")
     n = doc["n"]
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:  # JSON true/false load as bool, an int subclass
         raise InstanceFormatError(f"{path}: n must be a nonnegative integer, got {n!r}")
     pieces_doc = doc["pieces"]
     if not isinstance(pieces_doc, list):
         raise InstanceFormatError(f"{path}: pieces must be a list")
-    if "L" in doc and doc["L"] != len(pieces_doc):
+    if "L" in doc and (type(doc["L"]) is not int or doc["L"] != len(pieces_doc)):
         raise InstanceFormatError(
             f"{path}: declared L = {doc['L']} but found {len(pieces_doc)} pieces"
         )
@@ -748,7 +749,12 @@ def load_instance(path) -> LinearGlbProblem:
                     f"{path}: piece {ell + 1}, entry {k}: expected [row, col, value]"
                 )
             r, c, v = entry
-            if not isinstance(r, int) or not isinstance(c, int) or not 0 <= r < n or not 0 <= c < n:
+            if type(r) is not int or type(c) is not int or type(v) is bool:
+                raise InstanceFormatError(
+                    f"{path}: piece {ell + 1}, entry {k}: expected integer row and col "
+                    f"and a numeric value, got {entry!r}"
+                )
+            if not 0 <= r < n or not 0 <= c < n:
                 raise InstanceFormatError(
                     f"{path}: piece {ell + 1}, entry {k}: index ({r}, {c}) out of range for n = {n}"
                 )
@@ -762,6 +768,10 @@ def load_instance(path) -> LinearGlbProblem:
 
 
 def _vector(values, n: int, name: str, path) -> np.ndarray:
+    if isinstance(values, list):
+        for k, v in enumerate(values):
+            if type(v) is bool:
+                raise InstanceFormatError(f"{path}: {name} entry {k}: expected a number, got {v!r}")
     arr = np.asarray(values, dtype=float)
     if arr.shape != (n,):
         raise InstanceFormatError(f"{path}: {name} must have length {n}, got shape {arr.shape}")

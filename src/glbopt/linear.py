@@ -87,6 +87,9 @@ class LinearGlbProblem:
         a = np.array(a, dtype=float)
         if a.shape != (n,):
             raise ProblemDataError(f"a must have shape ({n},), got {a.shape}")
+        if n and not np.all(np.isfinite(a)):
+            k = int(np.argmin(np.isfinite(a)))
+            raise ProblemDataError(f"a must be finite, got a[{k}] = {float(a[k])!r}")
 
         prepared = []
         diagonal_free = True
@@ -183,27 +186,45 @@ class LinearGlbProblem:
         return out
 
     def _selective_tables(self):
-        """Per-column update tables for the incremental solver (cached)."""
+        """Per-column update tables for the incremental solver (cached).
+
+        For each column ``i``: ``cols[i]`` holds ``(ell, ((j, A_l[j, i]), ...))``
+        for every piece storing an entry in column i, ``touched[i]`` the sorted
+        rows stored in column i by any piece, ``col_nnz[i]`` the entry count
+        over all pieces and ``self_coupled[i]`` whether any piece stores
+        ``A_l[i, i]``.
+
+        Every per-column entry is a tuple of ints and floats, which the
+        garbage collector stops tracking after it has seen them, so later
+        full collections do not walk the O(nnz) tables again.  Every index is
+        taken from one object array of the ints ``0..n-1``, so the tables hold
+        n index ints instead of one per stored entry.
+        """
         if self._tables is None:
             n = self.n
-            cols: list[list[tuple[int, list[tuple[int, float]]]]] = [[] for _ in range(n)]
-            touched_sets: list[set[int]] = [set() for _ in range(n)]
-            col_nnz = [0] * n
+            index = np.array(range(n), dtype=object)
+            by_piece = []
+            pattern = sparse.csc_array((n, n))
+            col_nnz = np.zeros(n, dtype=np.int64)
             for ell, (A, _) in enumerate(self._pieces):
                 csc = A.tocsc()
-                iptr, idx, dat = csc.indptr, csc.indices, csc.data
-                for i in range(n):
-                    lo, hi = int(iptr[i]), int(iptr[i + 1])
-                    if lo == hi:
-                        continue
-                    js = idx[lo:hi].tolist()
-                    vs = dat[lo:hi].tolist()
-                    cols[i].append((ell, list(zip(js, vs))))
-                    touched_sets[i].update(js)
-                    col_nnz[i] += hi - lo
-            touched = [sorted(s) for s in touched_sets]
-            self_coupled = [i in touched_sets[i] for i in range(n)]
-            self._tables = (cols, touched, col_nnz, self_coupled)
+                pairs = tuple(zip(index[csc.indices].tolist(), csc.data.tolist()))
+                by_piece.append((ell, csc.indptr.tolist(), pairs))
+                pattern = pattern + sparse.csc_array(
+                    (np.ones(csc.nnz), csc.indices, csc.indptr), shape=(n, n)
+                )
+                col_nnz += np.diff(csc.indptr)
+            cols = [
+                tuple((ell, pairs[ptr[i]:ptr[i + 1]])
+                      for ell, ptr, pairs in by_piece if ptr[i] < ptr[i + 1])
+                for i in range(n)
+            ]
+            pattern.sort_indices()
+            rows = tuple(index[pattern.indices].tolist())
+            ptr = pattern.indptr.tolist()
+            touched = [rows[ptr[i]:ptr[i + 1]] for i in range(n)]
+            self_coupled = (pattern.diagonal() > 0).tolist()
+            self._tables = (cols, touched, col_nnz.tolist(), self_coupled)
         return self._tables
 
 

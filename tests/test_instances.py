@@ -29,6 +29,7 @@ from glbopt import (
     speed_plan_spec_from_csv,
     speed_planning_problem,
 )
+from glbopt.bench import SweepConfig, make_instance
 
 
 class TestGraphGenerators:
@@ -425,12 +426,50 @@ class TestInstanceFiles:
              r"expected \[row, col, value\]"),
             (json.dumps({"n": 2, "pieces": [{"A": [], "b": [0.0]}], "U": [1.0, 1.0]}),
              "length 2"),
+            # JSON booleans are not numbers, although Python's bool is an int
+            (json.dumps({"n": True, "pieces": [], "U": [1.0]}), "n must be a nonnegative integer"),
+            (json.dumps({"n": 1, "L": True, "pieces": [{"A": [], "b": [0.0]}], "U": [1.0]}),
+             "declared L"),
+            (json.dumps({"n": 2, "pieces": [{"A": [[0, 1, 0.5], [True, 0, 0.5]], "b": [0.0, 0.0]}],
+                         "U": [1.0, 1.0]}), r"piece 1, entry 1: expected integer row"),
+            (json.dumps({"n": 2, "pieces": [{"A": [[0, False, 0.5]], "b": [0.0, 0.0]}],
+                         "U": [1.0, 1.0]}), r"piece 1, entry 0: expected integer row"),
+            (json.dumps({"n": 2, "pieces": [{"A": [[0, 1, True]], "b": [0.0, 0.0]}],
+                         "U": [1.0, 1.0]}), r"piece 1, entry 0: expected integer row"),
+            (json.dumps({"n": 2, "pieces": [{"A": [], "b": [0.0, False]}], "U": [1.0, 1.0]}),
+             "piece 1 offset b entry 1"),
+            (json.dumps({"n": 2, "pieces": [], "U": [1.0, True]}), "U entry 1"),
+            (json.dumps({"n": 2, "pieces": [], "U": [1.0, 1.0], "a": [True, 0.0]}), "a entry 0"),
         ]
         for text, message in cases:
             path = tmp_path / "doc.json"
             path.write_text(text)
             with pytest.raises(InstanceFormatError, match=message):
                 load_instance(path)
+
+    @pytest.mark.parametrize("family", ["ba", "nws", "hk", "speedplan", "hjb", "dominant"])
+    def test_save_matches_per_entry_construction(self, family, tmp_path):
+        # reference: the document built with one [row, col, value] list per entry
+        if family == "dominant":
+            p = dominant_diagonal_problem(12, 2, gamma=0.9, delta=0.3, seed=5)
+        else:
+            p = make_instance(SweepConfig(family=family), 60, seed=3)
+        doc = {"n": p.n, "L": p.L, "pieces": [], "U": p.U.tolist(), "a": p.a.tolist(),
+               "meta": p.meta}
+        for A, b in p.pieces:
+            coo = A.tocoo()
+            order = np.lexsort((coo.col, coo.row))
+            doc["pieces"].append({
+                "A": [[int(coo.row[k]), int(coo.col[k]), float(coo.data[k])] for k in order],
+                "b": b.tolist(),
+            })
+        ref = tmp_path / "ref.json"
+        with open(ref, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+        path = tmp_path / "saved.json"
+        save_instance(p, path)
+        assert path.read_bytes() == ref.read_bytes()
 
     def test_meta_round_trips(self, tmp_path):
         graphs = [gen_graph("ba", 8, seed=(7, 0), m=2)]

@@ -81,6 +81,11 @@ class TestConstruction:
         with pytest.raises(ProblemDataError, match="U must be nonnegative"):
             LinearGlbProblem([], U=[1.0, -2.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_lower_bound_is_located(self, bad):
+        with pytest.raises(ProblemDataError, match=r"a must be finite, got a\[2\]"):
+            LinearGlbProblem([], U=[1.0, 1.0, 1.0, 1.0], a=[0.0, 0.5, bad, bad])
+
     def test_redundant_diagonal_row_replaced_by_cap(self):
         A = np.array([[1.2, 0.5], [0.0, 0.0]])
         with pytest.warns(RedundantRowWarning, match="piece 1"):
@@ -105,6 +110,88 @@ class TestConstruction:
         A, b = two_var.pieces[0]
         with pytest.raises(ValueError):
             b[0] = 99.0
+
+
+def reference_tables(p):
+    """The per-column construction the cached tables must reproduce."""
+    n = p.n
+    cols = [[] for _ in range(n)]
+    touched_sets = [set() for _ in range(n)]
+    col_nnz = [0] * n
+    for ell, (A, _) in enumerate(p.pieces):
+        csc = A.tocsc()
+        iptr, idx, dat = csc.indptr, csc.indices, csc.data
+        for i in range(n):
+            lo, hi = int(iptr[i]), int(iptr[i + 1])
+            if lo == hi:
+                continue
+            js = idx[lo:hi].tolist()
+            vs = dat[lo:hi].tolist()
+            cols[i].append((ell, list(zip(js, vs))))
+            touched_sets[i].update(js)
+            col_nnz[i] += hi - lo
+    touched = [sorted(s) for s in touched_sets]
+    self_coupled = [i in touched_sets[i] for i in range(n)]
+    return cols, touched, col_nnz, self_coupled
+
+
+TABLE_FAMILIES = ["ba", "nws", "hk", "speedplan", "hjb"]
+
+
+def table_case(name):
+    if name in TABLE_FAMILIES:
+        return make_instance(SweepConfig(family=name), 200, seed=3)
+    dominant = dominant_diagonal_problem(12, 2, gamma=0.9, delta=0.3, seed=5)
+    return {
+        "dominant_diagonal": dominant,
+        "dominant_diagonal_hat": precondition(dominant),
+        "two_var": LinearGlbProblem([(np.array([[0.0, 0.5], [0.5, 0.0]]), np.ones(2))],
+                                    U=[10.0, 10.0]),
+        "all_zero_piece": LinearGlbProblem(
+            [(np.array([[0.0, 0.5, 0.0], [0.0, 0.0, 0.0], [0.25, 0.0, 0.5]]), np.ones(3)),
+             (np.zeros((3, 3)), np.ones(3))],
+            U=[4.0, 4.0, 4.0],
+        ),
+        "no_pieces": LinearGlbProblem([], U=[1.0, 2.0]),
+        "empty": LinearGlbProblem([(np.zeros((0, 0)), np.zeros(0))], U=[]),
+    }[name]
+
+
+class TestSelectiveTables:
+    @pytest.mark.parametrize("name", TABLE_FAMILIES + [
+        "dominant_diagonal", "dominant_diagonal_hat", "two_var", "all_zero_piece", "no_pieces",
+        "empty",
+    ])
+    def test_equal_to_per_column_construction(self, name):
+        p = table_case(name)
+        cols, touched, col_nnz, self_coupled = p._selective_tables()
+        ref_cols, ref_touched, ref_col_nnz, ref_self_coupled = reference_tables(p)
+        assert [[(ell, list(pairs)) for ell, pairs in c] for c in cols] == ref_cols
+        assert [list(rows) for rows in touched] == ref_touched
+        assert col_nnz == ref_col_nnz
+        assert self_coupled == ref_self_coupled
+        assert p._selective_tables() is p._selective_tables()
+
+    def test_collector_stops_tracking_every_entry(self):
+        p = make_instance(SweepConfig(family="ba"), 300, seed=3)
+        tables = p._selective_tables()
+        for _ in range(4):  # nested tuples are untracked one level per collection
+            gc.collect()
+        cols, touched, col_nnz, self_coupled = tables
+        inner = list(cols) + [e for c in cols for e in c]
+        inner += [pairs for c in cols for _, pairs in c]
+        inner += [pair for c in cols for _, pairs in c for pair in pairs]
+        inner += touched + col_nnz + self_coupled
+        assert len(inner) > p.total_nnz
+        assert not any(gc.is_tracked(obj) for obj in inner)
+
+    def test_indices_share_one_int_per_index(self):
+        p = make_instance(SweepConfig(family="ba"), 1000, seed=3)
+        cols, touched, _, _ = p._selective_tables()
+        indices = [j for c in cols for _, pairs in c for j, _ in pairs]
+        indices += [j for rows in touched for j in rows]
+        assert len(indices) > p.total_nnz
+        assert len({id(j) for j in indices}) <= p.n
 
 
 class TestContractionRates:
