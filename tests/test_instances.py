@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -113,6 +114,23 @@ class TestRandomLinearProblem:
             save_instance(p, path)
             docs.append(path.read_text())
         assert docs[0] == docs[1]
+
+    @pytest.mark.parametrize("family, seed, digest", [
+        ("ba", 1, "cffe17db7fd3985f239e765eefa50f05"),
+        ("ba", 3, "9cc6c331431ab53adb75706edc968862"),
+        ("nws", 1, "028a73ebd56346edcf722f6adaae46b5"),
+        ("nws", 3, "e8693e0985f08b06abf8337124ffddaf"),
+        ("hk", 1, "9b4cb4b8d6a7baf580b1902d2e6fbe71"),
+        ("hk", 3, "e374f10eca53c8f26bdbe551d3385b56"),
+    ])
+    def test_golden_pieces(self, family, seed, digest):
+        # every RNG draw must land on the same matrix entry as in the reference build
+        p = make_instance(SweepConfig(family=family), 300, seed)
+        h = hashlib.sha256()
+        for A, b in p.pieces:
+            for arr in (A.indptr.astype(np.int64), A.indices.astype(np.int64), A.data, b):
+                h.update(arr.tobytes())
+        assert h.hexdigest()[:32] == digest
 
     def test_mismatched_node_counts_rejected(self):
         g1 = gen_graph("ba", 10, seed=1, m=2)
