@@ -25,7 +25,6 @@ from .lattice import (
     selective_update_solve,
 )
 from .linear import (
-    EtaDriftError,
     LinearGlbProblem,
     LpForm,
     ProblemDataError,
@@ -83,7 +82,7 @@ __all__ = [
     "NonConvergenceError", "OpCounter", "SolveReport", "StartPointError",
     "build_dependency_graph", "error_bound", "fixed_point_solve", "residual",
     "selective_update_solve",
-    "EtaDriftError", "LinearGlbProblem", "LpForm",
+    "LinearGlbProblem", "LpForm",
     "ProblemDataError", "RedundantRowWarning", "contraction_rates",
     "dominant_diagonal_gap", "fixed_point_linear", "precondition",
     "dominance_gap_limit", "selective_update_linear", "selective_update_preconditioned",

@@ -229,17 +229,12 @@ def random_linear_problem(
     pieces = []
     for ell, graph in enumerate(graphs):
         rng = _rng((seed, ell))
-        directed = sorted(
-            [(u, v) for u, v in graph.edges] + [(v, u) for u, v in graph.edges]
-        )
-        vals = rng.uniform(0.0, max_coeff, size=len(directed))
+        u, v = np.array(graph.edges, dtype=np.int64).reshape(-1, 2).T
+        row, col = np.concatenate((u, v)), np.concatenate((v, u))
+        order = np.lexsort((col, row))  # row-major, so each draw lands on a fixed entry
+        vals = rng.uniform(0.0, max_coeff, size=order.size)
         b = rng.uniform(0.0, max_offset, size=n)
-        if directed:
-            r, c = zip(*directed)
-        else:
-            r, c = (), ()
-        A = sparse.coo_array((vals, (np.array(r, dtype=int), np.array(c, dtype=int))), shape=(n, n))
-        pieces.append((A, b))
+        pieces.append((sparse.coo_array((vals, (row[order], col[order])), shape=(n, n)), b))
     meta = {
         "generator": "random_linear",
         "seed": seed,
@@ -749,7 +744,7 @@ def load_instance(path) -> LinearGlbProblem:
                     f"{path}: piece {ell + 1}, entry {k}: expected [row, col, value]"
                 )
             r, c, v = entry
-            if type(r) is not int or type(c) is not int or type(v) is bool:
+            if type(r) is not int or type(c) is not int or type(v) not in (int, float):
                 raise InstanceFormatError(
                     f"{path}: piece {ell + 1}, entry {k}: expected integer row and col "
                     f"and a numeric value, got {entry!r}"
@@ -770,7 +765,7 @@ def load_instance(path) -> LinearGlbProblem:
 def _vector(values, n: int, name: str, path) -> np.ndarray:
     if isinstance(values, list):
         for k, v in enumerate(values):
-            if type(v) is bool:
+            if type(v) not in (int, float):  # JSON numbers only: no bool, no numeric string
                 raise InstanceFormatError(f"{path}: {name} entry {k}: expected a number, got {v!r}")
     arr = np.asarray(values, dtype=float)
     if arr.shape != (n,):

@@ -184,6 +184,7 @@ class SolveReport:
     epsilon: float
     iterations: int = 0
     error_bound: float | None = None
+    verify_multiplications: int = 0
 
 
 def residual(g: MonotoneMap, x) -> np.ndarray:
@@ -248,6 +249,7 @@ def _report(
     updates: int = 0,
     dequeues: int = 0,
     iterations: int = 0,
+    verify_muls: int = 0,
 ) -> SolveReport:
     """Final report of a solve started at ``t0``; the ``eps/(1-rate)`` error
     bound is given only when ``rate`` is a contraction rate below one."""
@@ -263,6 +265,7 @@ def _report(
         epsilon=eps,
         iterations=iterations,
         error_bound=(eps / (1.0 - rate)) if rate is not None and rate < 1.0 else None,
+        verify_multiplications=verify_muls,
     )
 
 

@@ -1,4 +1,6 @@
-"""Shared instance builders for the property and acceptance tests."""
+"""Shared instance builders and an exact residual for the property and acceptance tests."""
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -38,3 +40,18 @@ def random_suite(count: int, seed: int = 2024, n_range=(5, 50), L_range=(1, 4),
         gamma = float(rng.uniform(*gamma_range))
         out.append(make_random_problem(seed * 1000 + k, n, L, gamma, cap=cap))
     return out
+
+
+def exact_residual(p: LinearGlbProblem, x) -> Fraction:
+    """``max_i |x_i - min(U_i, min_l sum_j A_l[i,j] x_j + b_l[i])|`` in exact
+    rationals, read from each piece's COO triplets: no scipy matvec and no
+    ``glb_eval``, so it shares no arithmetic with the solvers it checks."""
+    xq = [Fraction(v) for v in np.asarray(x, dtype=float).tolist()]
+    g = [Fraction(u) for u in p.U.tolist()]
+    for A, b in p.pieces:
+        coo = A.tocoo()
+        eta = [Fraction(v) for v in b.tolist()]
+        for i, j, w in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
+            eta[i] += Fraction(w) * xq[j]
+        g = [min(gi, ei) for gi, ei in zip(g, eta)]
+    return max((abs(xi - gi) for xi, gi in zip(xq, g)), default=Fraction(0))

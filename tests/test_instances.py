@@ -458,6 +458,12 @@ class TestInstanceFiles:
              "piece 1 offset b entry 1"),
             (json.dumps({"n": 2, "pieces": [], "U": [1.0, True]}), "U entry 1"),
             (json.dumps({"n": 2, "pieces": [], "U": [1.0, 1.0], "a": [True, 0.0]}), "a entry 0"),
+            # nor are numeric strings, although float() would convert them
+            (json.dumps({"n": 2, "pieces": [{"A": [[0, 1, "0.5"]], "b": [0.0, 0.0]}],
+                         "U": [1.0, 1.0]}), r"piece 1, entry 0: expected integer row"),
+            (json.dumps({"n": 2, "pieces": [{"A": [], "b": ["0.25", 0.0]}], "U": [1.0, 1.0]}),
+             "piece 1 offset b entry 0"),
+            (json.dumps({"n": 2, "pieces": [], "U": ["1.0", 2.0]}), "U entry 0"),
         ]
         for text, message in cases:
             path = tmp_path / "doc.json"

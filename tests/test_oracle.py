@@ -4,13 +4,16 @@ import pytest
 from glbopt import (
     LinearGlbProblem,
     brute_force_max,
+    dominant_diagonal_problem,
     precondition,
     reference_solve,
     sample_feasible_points,
+    selective_update_linear,
     verify_epsilon_solution,
 )
+from glbopt.bench import SweepConfig, make_instance
 
-from suite_helpers import make_random_problem
+from suite_helpers import exact_residual, make_random_problem
 
 
 class TestReferenceSolve:
@@ -142,3 +145,24 @@ def test_preconditioned_residual_agrees_at_oracle(two_var):
     res = reference_solve(two_var)
     hat = precondition(two_var)
     assert float(np.max(np.abs(res.x_star - hat.glb_eval(res.x_star)))) <= 2e-12
+
+
+class TestExactResidual:
+    """The exact rational residual of ``suite_helpers`` against the float one."""
+
+    @pytest.mark.parametrize("family", ["ba", "nws", "hk", "speedplan", "hjb", "dominant"])
+    def test_agrees_with_float_residual(self, family):
+        if family == "dominant":
+            p = dominant_diagonal_problem(300, 2, gamma=0.9, delta=0.3, seed=5)
+        else:
+            p = make_instance(SweepConfig(family=family), 300, seed=1)
+        for x in (selective_update_linear(p, eps=1e-6).x, p.U):
+            direct = float(np.max(np.abs(x - p.glb_eval(x))))
+            tol = 1e-14 * max(1.0, float(np.max(np.abs(x))))
+            assert abs(float(exact_residual(p, x)) - direct) <= tol
+
+    def test_catches_a_dropped_piece(self):
+        p = make_instance(SweepConfig(family="ba"), 300, seed=1)
+        dropped = LinearGlbProblem(p.pieces[:-1], U=p.U, a=p.a)
+        x = selective_update_linear(dropped, eps=1e-9).x
+        assert exact_residual(p, x) > 1e-9
