@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 
@@ -202,6 +203,24 @@ class TestCli:
             assert main(["gen", "--family", "ba", "--n", "40", "--seed", "7",
                          "--out", str(path)]) == 0
         assert paths[0].read_text() == paths[1].read_text()
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["--family", "ba", "--n", "300", "--seed", "1"],
+         "af8c3b5e1657fc0b95d4057b5393db6ee27d9cc9ccb9501fe88d15452595c8d5"),
+        (["--family", "speedplan", "--n", "200", "--curvature-csv", "CSV", "--v-max", "12"],
+         "69bb4977917388ec8e96ad0524cde413b3c3b794fb0637ee6f56940bc0b08bc1"),
+        (["--family", "hjb", "--preset", "drift1d", "--n", "41", "--discount", "1",
+          "--step", "0.25"],
+         "c01cbdef619f853791d55bad1908f27458e2510dae684485baf504cfcee21e82"),
+    ])
+    def test_gen_file_bytes_are_pinned(self, argv, digest, tmp_path, capsys):
+        # the instance file layout is a contract: same bytes for the same arguments
+        csv_path = tmp_path / "curv.csv"
+        csv_path.write_text("s,k\n0.0,0.0\n10.0,0.05\n20.0,0.1\n30.0,0.02\n50.0,0.0\n")
+        out = tmp_path / "inst.json"
+        argv = [str(csv_path) if arg == "CSV" else arg for arg in argv]
+        assert main(["gen", *argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_gen_speedplan_from_csv_pipeline(self, tmp_path, capsys):
         csv_path = tmp_path / "curv.csv"

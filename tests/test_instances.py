@@ -495,6 +495,52 @@ class TestInstanceFiles:
         save_instance(p, path)
         assert path.read_bytes() == ref.read_bytes()
 
+    @pytest.mark.parametrize("case", ["n0", "L0", "empty_piece", "awkward_floats", "meta"])
+    def test_save_matches_json_dump_on_edge_cases(self, case, tmp_path):
+        awkward = [-0.0, 5e-324, 1e-300, 1e16, 1.0000000000000002]
+        if case == "n0":
+            p = LinearGlbProblem([(np.zeros((0, 0)), np.zeros(0))], U=np.zeros(0))
+        elif case == "L0":
+            p = LinearGlbProblem([], U=[1.0, 2.0], a=[0.5, 0.0])
+        elif case == "empty_piece":
+            A = np.array([[0.0, 0.25, 0.0], [0.0, 0.0, 0.0], [0.5, 0.0, 0.125]])
+            b = np.array([1.0, 0.0, 2.0])
+            p = LinearGlbProblem([(np.zeros((3, 3)), b), (A, b), (np.zeros((3, 3)), b)],
+                                 U=[3.0, 3.0, 3.0])
+        elif case == "awkward_floats":
+            A = np.zeros((5, 5))
+            A[0, 1:] = awkward[1:]
+            A[1, 0] = -0.0
+            A[2, 4], A[4, 2] = awkward[4], awkward[1]
+            p = LinearGlbProblem([(A, np.array(awkward))], U=awkward[::-1], a=awkward)
+        else:
+            meta = {
+                "name": "Zürich \"quoted\"\nsecond line\ttab \u2713 \\",
+                "nested": {"list": [1, 2.5, [None, True, False]], "empty_dict": {},
+                           "empty_list": [], "deeper": {"x": {"y": [{}]}}},
+                "none": None,
+                "flag": True,
+                "caf\u00e9": "\u65e5\u672c",
+            }
+            p = LinearGlbProblem([(np.array([[0.0, 0.5], [0.5, 0.0]]), np.ones(2))],
+                                 U=[10.0, 10.0], meta=meta)
+        doc = {"n": p.n, "L": p.L, "pieces": [], "U": p.U.tolist(), "a": p.a.tolist(),
+               "meta": p.meta}
+        for A, b in p.pieces:
+            coo = A.tocoo()
+            order = np.lexsort((coo.col, coo.row))
+            doc["pieces"].append({
+                "A": [[int(coo.row[k]), int(coo.col[k]), float(coo.data[k])] for k in order],
+                "b": b.tolist(),
+            })
+        ref = tmp_path / "ref.json"
+        with open(ref, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+        path = tmp_path / "saved.json"
+        save_instance(p, path)
+        assert path.read_bytes() == ref.read_bytes()
+
     def test_meta_round_trips(self, tmp_path):
         graphs = [gen_graph("ba", 8, seed=(7, 0), m=2)]
         p = random_linear_problem(graphs, seed=7)
