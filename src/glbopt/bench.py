@@ -40,6 +40,7 @@ FAMILIES = ("ba", "nws", "hk", "speedplan", "hjb", "file")
 SWEEP_COLUMNS = (
     "family", "n", "L", "seed", "method", "policy", "eps", "wall_time",
     "scalar_multiplications", "component_updates", "dequeues", "residual", "feasible",
+    "verify_multiplications",
 )
 
 # Fixed parameters of the speedplan and hjb sweep families.
@@ -185,7 +186,7 @@ def run_sweep(config: SweepConfig, *, log=None) -> list[dict]:
                         row.update(
                             wall_time=elapsed, scalar_multiplications=0,
                             component_updates=0, dequeues=0,
-                            residual=float("nan"), feasible=0,
+                            residual=float("nan"), feasible=0, verify_multiplications=0,
                         )
                         rows.append(row)
                         continue
@@ -196,6 +197,7 @@ def run_sweep(config: SweepConfig, *, log=None) -> list[dict]:
                         dequeues=report.dequeues,
                         residual=report.residual_inf,
                         feasible=int(report.feasible),
+                        verify_multiplications=report.verify_multiplications,
                     )
                     rows.append(row)
                     if config.time_budget is not None and report.wall_time > config.time_budget:
@@ -215,7 +217,7 @@ def _aggregate(rows: list[dict]) -> list[dict]:
         groups.setdefault(key, []).append(row)
     out = []
     numeric = ("wall_time", "scalar_multiplications", "component_updates",
-               "dequeues", "residual", "feasible")
+               "dequeues", "residual", "feasible", "verify_multiplications")
     for key, members in groups.items():
         family, n, L, method, policy, eps = key
         agg = {

@@ -154,6 +154,7 @@ def _cmd_solve(args) -> int:
         "scalar_multiplications": report.scalar_multiplications,
         "component_updates": report.component_updates,
         "dequeues": report.dequeues,
+        "verify_multiplications": report.verify_multiplications,
         "wall_time": report.wall_time,
         "error_bound": report.error_bound,
     }

@@ -678,27 +678,45 @@ def hjb_grid_problem(spec: HjbGridSpec) -> LinearGlbProblem:
 # -- instance files -----------------------------------------------------------
 
 
+_TRIPLET = "\n    [\n     %d,\n     %d,\n     %r\n    ]"
+_CHUNK = 4096  # triplets formatted and written at a time
+
+
+def _json_list(values, depth: int) -> str:
+    """A flat list laid out as ``json.dump(..., indent=1)`` lays it out at
+    nesting ``depth``: one ``repr`` per line."""
+    if not values:
+        return "[]"
+    pad = "\n" + " " * (depth + 1)
+    return "[" + pad + ("," + pad).join(map(repr, values)) + "\n" + " " * depth + "]"
+
+
 def save_instance(p: LinearGlbProblem, path) -> None:
-    """Write the JSON instance document; floats round-trip bit-for-bit."""
-    doc = {
-        "n": p.n,
-        "L": p.L,
-        "pieces": [],
-        "U": p.U.tolist(),
-        "a": p.a.tolist(),
-        "meta": p.meta,
-    }
-    for A, b in p.pieces:
-        coo = A.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        doc["pieces"].append({
-            "A": tuple(zip(coo.row[order].tolist(), coo.col[order].tolist(),
-                           coo.data[order].tolist())),
-            "b": b.tolist(),
-        })
+    """Write the JSON instance document; floats round-trip bit-for-bit.
+
+    The document is streamed in exactly the layout of ``json.dump(doc, fh,
+    indent=1)`` plus a final newline: one scalar per line, triplets
+    row-major, floats by ``repr``.  Triplets are formatted and written
+    ``_CHUNK`` at a time, so no per-entry Python objects outlive a chunk.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write('{\n "n": %d,\n "L": %d,\n "pieces": [' % (p.n, p.L))
+        for ell, (A, b) in enumerate(p.pieces):
+            fh.write(',\n  {\n   "A": [' if ell else '\n  {\n   "A": [')
+            coo = A.tocoo()
+            order = np.lexsort((coo.col, coo.row))
+            rows, cols, vals = coo.row[order], coo.col[order], coo.data[order]
+            for start in range(0, order.size, _CHUNK):
+                chunk = slice(start, start + _CHUNK)
+                triplets = zip(rows[chunk].tolist(), cols[chunk].tolist(), vals[chunk].tolist())
+                fh.write(("," if start else "") + ",".join(map(_TRIPLET.__mod__, triplets)))
+            fh.write("\n   ],\n" if order.size else "],\n")
+            fh.write('   "b": ' + _json_list(b.tolist(), 3) + "\n  }")
+        fh.write("\n ],\n" if p.L else "],\n")
+        fh.write(' "U": ' + _json_list(p.U.tolist(), 1) + ",\n")
+        fh.write(' "a": ' + _json_list(p.a.tolist(), 1) + ",\n")
+        # json escapes newlines inside strings, so every newline is layout
+        fh.write(' "meta": ' + json.dumps(p.meta, indent=1).replace("\n", "\n ") + "\n}\n")
 
 
 def load_instance(path) -> LinearGlbProblem:

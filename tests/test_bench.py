@@ -121,6 +121,29 @@ class TestSweep:
         assert len(good) == 1 and good[0]["residual"] <= 1e-12
         assert messages, "failure should be logged"
 
+    def test_verify_multiplications_column(self, tmp_path, two_var):
+        assert bench.SWEEP_COLUMNS[-1] == "verify_multiplications"
+        rows = run_sweep(self.small_config(), log=lambda m: None)
+        runs = [r for r in rows if r["seed"] != "mean"]
+        for row in runs:
+            p = make_instance(self.small_config(), 12, seed=row["seed"])
+            if row["method"] == "fixed-precond":
+                assert row["verify_multiplications"] == 0
+            else:  # at least the one from-scratch check that stopped the run
+                assert row["verify_multiplications"] >= p.total_nnz > 0
+        for agg in (r for r in rows if r["seed"] == "mean"):
+            members = [r["verify_multiplications"] for r in runs
+                       if (r["method"], r["policy"]) == (agg["method"], agg["policy"])]
+            assert agg["verify_multiplications"] == pytest.approx(sum(members) / len(members))
+        # a failed run records 0, like its other counters
+        path = tmp_path / "inst.json"
+        save_instance(two_var, path)
+        config = SweepConfig(family="file", instance_path=str(path), sizes=(2,),
+                             methods=("selective-plain",), policies=("fifo",),
+                             repetitions=1, max_iter=1)
+        failed = run_sweep(config, log=lambda m: None)[0]
+        assert math.isnan(failed["residual"]) and failed["verify_multiplications"] == 0
+
     def test_operation_count_sweep_row_accounting(self):
         # the operation-count protocol shape: 10 tolerances x (one fixed
         # method + one selective method over four policies) = 50 cells
@@ -176,6 +199,15 @@ class TestCli:
         assert code == 0
         doc = json.loads(out_path.read_text())
         assert np.allclose(doc["x"], [2.0, 2.0], atol=1e-8)
+
+    @pytest.mark.parametrize("method, checks", [("selective-plain", 1), ("fixed-precond", 0)])
+    def test_solve_reports_verify_multiplications(self, method, checks, two_var, two_var_file,
+                                                  tmp_path, capsys):
+        out_path = tmp_path / "report.json"
+        assert main(["solve", two_var_file, "--method", method, "--out", str(out_path)]) == 0
+        expected = checks * two_var.total_nnz
+        assert f"verify_multiplications: {expected}" in capsys.readouterr().out.splitlines()
+        assert json.loads(out_path.read_text())["verify_multiplications"] == expected
 
     def test_solve_infeasible_exits_two(self, tmp_path, two_var, capsys):
         shifted = LinearGlbProblem(
