@@ -11,7 +11,8 @@ Instance files are single UTF-8 JSON documents::
      "U": [...], "a": [...], "meta": {...}}
 
 with 0-based row/col indices and floats serialized by shortest round-trip
-representation (lossless).
+representation (lossless), laid out as ``json.dump(..., indent=1)`` lays
+them out (see :func:`save_instance`).
 """
 
 from __future__ import annotations
@@ -699,6 +700,10 @@ def save_instance(p: LinearGlbProblem, path) -> None:
     row-major, floats by ``repr``.  Triplets are formatted and written
     ``_CHUNK`` at a time, so no per-entry Python objects outlive a chunk.
     """
+    # encoded before the file is opened, so a meta json cannot encode leaves
+    # no partial file; json escapes newlines inside strings, so every newline
+    # in the text is layout and takes the one extra space of nesting
+    meta = json.dumps(p.meta, indent=1).replace("\n", "\n ")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{\n "n": %d,\n "L": %d,\n "pieces": [' % (p.n, p.L))
         for ell, (A, b) in enumerate(p.pieces):
@@ -715,8 +720,7 @@ def save_instance(p: LinearGlbProblem, path) -> None:
         fh.write("\n ],\n" if p.L else "],\n")
         fh.write(' "U": ' + _json_list(p.U.tolist(), 1) + ",\n")
         fh.write(' "a": ' + _json_list(p.a.tolist(), 1) + ",\n")
-        # json escapes newlines inside strings, so every newline is layout
-        fh.write(' "meta": ' + json.dumps(p.meta, indent=1).replace("\n", "\n ") + "\n}\n")
+        fh.write(' "meta": ' + meta + "\n}\n")
 
 
 def load_instance(path) -> LinearGlbProblem:

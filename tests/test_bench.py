@@ -123,10 +123,11 @@ class TestSweep:
 
     def test_verify_multiplications_column(self, tmp_path, two_var):
         assert bench.SWEEP_COLUMNS[-1] == "verify_multiplications"
-        rows = run_sweep(self.small_config(), log=lambda m: None)
+        config = self.small_config()
+        rows = run_sweep(config, log=lambda m: None)
         runs = [r for r in rows if r["seed"] != "mean"]
         for row in runs:
-            p = make_instance(self.small_config(), 12, seed=row["seed"])
+            p = make_instance(config, 12, seed=row["seed"])
             if row["method"] == "fixed-precond":
                 assert row["verify_multiplications"] == 0
             else:  # at least the one from-scratch check that stopped the run

@@ -541,6 +541,13 @@ class TestInstanceFiles:
         save_instance(p, path)
         assert path.read_bytes() == ref.read_bytes()
 
+    def test_unencodable_meta_leaves_no_file(self, two_var, tmp_path):
+        p = LinearGlbProblem(two_var.pieces, U=two_var.U, meta={"spec": object()})
+        path = tmp_path / "bad_meta.json"
+        with pytest.raises(TypeError):
+            save_instance(p, path)
+        assert not path.exists()
+
     def test_meta_round_trips(self, tmp_path):
         graphs = [gen_graph("ba", 8, seed=(7, 0), m=2)]
         p = random_linear_problem(graphs, seed=7)
