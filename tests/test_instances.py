@@ -83,6 +83,25 @@ class TestGraphGenerators:
         with pytest.raises(ValueError, match="unknown parameters"):
             gen_graph("ba", 10, seed=1, q=3)
 
+    @pytest.mark.parametrize("tag, n, seed, params, digest", [
+        ("ba", 5000, (3, 0), {"m": 1}, "9d396f377a06d9758a996b31afd6289e"),
+        ("ba", 5000, (3, 1), {"m": 1}, "caf976c489b9ada28f2837c1a060aad5"),
+        ("ba", 5000, (3, 2), {"m": 1}, "d3276cfc4cce9e7b963fc0f5eb980729"),
+        ("ba", 5000, (3, 3), {"m": 1}, "2069618be959c1c0ca6236f5171ce714"),
+        # the graphs of the ba-sweep benchmark instance at seed 3
+        ("ba", 5000, (3, 0), {"m": 5}, "2ea46430a5932bb57be7d5674f9f22e5"),
+        ("ba", 5000, (3, 1), {"m": 5}, "7f6cee289ba73d623e8ed011adf1c28f"),
+        ("ba", 5000, (3, 2), {"m": 5}, "ee1c8cac73ecad939848f140c770a835"),
+        ("ba", 5000, (3, 3), {"m": 5}, "6a2589838d80ad5b0efcfd8f2391aaf0"),
+        ("nws", 2000, 3, {"p": 0.3}, "47909203536909dc67c0889b815df0d6"),
+        ("hk", 2000, 3, {"p": 1.0}, "51212a16b09e4b1b0f9b0d2830dd65fd"),
+        ("hk", 2000, 3, {}, "ce040a0f4477088b7fa7f0421fc6516e"),
+    ])
+    def test_golden_edges(self, tag, n, seed, params, digest):
+        g = gen_graph(tag, n, seed, **params)
+        edges = np.array(g.edges, dtype=np.int64)
+        assert hashlib.sha256(edges.tobytes()).hexdigest()[:32] == digest
+
 
 class TestRandomLinearProblem:
     def test_zero_coefficient_bound_decouples(self):
