@@ -37,6 +37,59 @@ def _rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
+_RAW_BLOCK = 1024  # raw PCG64 outputs fetched at a time
+_LOW32 = 0xFFFFFFFF
+
+
+class _ScalarDraws:
+    """The scalar draws ``Generator.integers(k)`` and ``Generator.random()``
+    would make on ``rng``, computed in Python from raw PCG64 outputs fetched
+    ``_RAW_BLOCK`` at a time.
+
+    ``integers(k)`` is numpy's 32-bit Lemire method on the low half, then the
+    high half, of each raw output: a low product word below
+    ``(2**32 - k) % k`` is redrawn, and ``k == 1`` consumes nothing.
+    ``random()`` takes a whole raw output, so a pending high half survives it.
+    """
+
+    __slots__ = ("_raw", "_words", "_next", "_high")
+
+    def __init__(self, rng: np.random.Generator):
+        self._raw = rng.bit_generator.random_raw
+        self._words: list[int] = []
+        self._next = 0
+        self._high = None  # unused high half of the last raw output
+
+    def _word(self) -> int:
+        i = self._next
+        if i == len(self._words):
+            self._words = self._raw(_RAW_BLOCK).tolist()
+            i = 0
+        self._next = i + 1
+        return self._words[i]
+
+    def integers(self, k: int) -> int:
+        if not 1 <= k <= 1 << 32:
+            raise ValueError(f"bound must lie in [1, 2**32], got {k}")
+        if k == 1:
+            return 0
+        threshold = ((1 << 32) - k) % k
+        while True:
+            high = self._high
+            if high is None:
+                word = self._word()
+                self._high = word >> 32
+                m = (word & _LOW32) * k
+            else:
+                self._high = None
+                m = high * k
+            if m & _LOW32 >= threshold:
+                return m >> 32
+
+    def random(self) -> float:
+        return (self._word() >> 11) * 2.0**-53
+
+
 # -- random graph families ---------------------------------------------------
 
 GRAPH_TAGS = ("ba", "nws", "hk")
@@ -72,29 +125,34 @@ def gen_graph(tag: str, n: int, seed, **params) -> RandomGraph:
     neighbors plus shortcut edges added with probability ``p`` (default 3/n);
     ``hk`` -- preferential attachment with ``m`` (default 4) links per node and
     triangle-closing probability ``p`` (default 0.25).
+
+    Every draw equals the ``Generator.integers(k)`` or ``Generator.random()``
+    call it replaces on the raw PCG64 stream (see :class:`_ScalarDraws`), so a
+    graph depends only on PCG64 output, which NumPy keeps stable across
+    versions, and not on how ``Generator`` methods are implemented.
     """
     key = tag.lower()
-    rng = _rng(seed)
+    draws = _ScalarDraws(_rng(seed))
     if key == "ba":
         m = int(params.pop("m", 5))
         _no_extra(params, tag)
-        edges = _ba_edges(n, m, rng)
+        edges = _ba_edges(n, m, draws)
         used = {"m": m}
     elif key == "nws":
         k = int(params.pop("k", 2))
         p = float(params.pop("p", 3.0 / n if n else 0.0))
         _no_extra(params, tag)
-        edges = _nws_edges(n, k, p, rng)
+        edges = _nws_edges(n, k, p, draws)
         used = {"k": k, "p": p}
     elif key == "hk":
         m = int(params.pop("m", 4))
         p = float(params.pop("p", 0.25))
         _no_extra(params, tag)
-        edges = _hk_edges(n, m, p, rng)
+        edges = _hk_edges(n, m, p, draws)
         used = {"m": m, "p": p}
     else:
         raise ValueError(f"unknown graph family {tag!r}; expected one of {GRAPH_TAGS}")
-    return RandomGraph(n=n, edges=tuple(sorted(edges)), tag=key, seed=seed, params=used)
+    return RandomGraph(n=n, edges=tuple(edges), tag=key, seed=seed, params=used)
 
 
 def _no_extra(params: dict, tag: str) -> None:
@@ -102,24 +160,27 @@ def _no_extra(params: dict, tag: str) -> None:
         raise ValueError(f"unknown parameters for family {tag!r}: {sorted(params)}")
 
 
-def _ba_edges(n, m, rng):
+def _ba_edges(n, m, draws):
     if m < 1 or n <= m:
         raise ValueError(f"Barabasi-Albert needs 1 <= m < n, got m={m}, n={n}")
-    edges = []
+    integers = draws.integers
+    linked: list[int] = []  # the m targets of each new node, node after node
     repeated: list[int] = []
     targets = list(range(m))
     for source in range(m, n):
-        edges.extend((t, source) for t in targets)
+        linked.extend(targets)
         repeated.extend(targets)
         repeated.extend([source] * m)
         chosen: set[int] = set()
         while len(chosen) < m:
-            chosen.add(repeated[int(rng.integers(len(repeated)))])
+            chosen.add(repeated[integers(len(repeated))])
         targets = sorted(chosen)
-    return edges
+    lo, hi = np.array(linked, dtype=np.int64), np.repeat(np.arange(m, n, dtype=np.int64), m)
+    order = np.lexsort((hi, lo))
+    return list(zip(lo[order].tolist(), hi[order].tolist()))
 
 
-def _nws_edges(n, k, p, rng):
+def _nws_edges(n, k, p, draws):
     if k < 2 or k % 2:
         raise ValueError(f"ring degree k must be a positive even integer, got {k}")
     if n <= k:
@@ -133,11 +194,11 @@ def _nws_edges(n, k, p, rng):
             edge_set.add((min(u, v), max(u, v)))
     degree = [k] * n
     for u, _ in sorted(edge_set):
-        if rng.random() < p:
+        if draws.random() < p:
             if degree[u] >= n - 1:
                 continue
             while True:
-                w = int(rng.integers(n))
+                w = draws.integers(n)
                 if w != u and (min(u, w), max(u, w)) not in edge_set:
                     break
             edge_set.add((min(u, w), max(u, w)))
@@ -146,7 +207,7 @@ def _nws_edges(n, k, p, rng):
     return sorted(edge_set)
 
 
-def _hk_edges(n, m, p, rng):
+def _hk_edges(n, m, p, draws):
     if m < 1 or n <= m:
         raise ValueError(f"Holme-Kim needs 1 <= m < n, got m={m}, n={n}")
     if not 0.0 <= p <= 1.0:
@@ -165,7 +226,7 @@ def _hk_edges(n, m, p, rng):
         if repeated:
             pool: set[int] = set()
             while len(pool) < m:
-                pool.add(repeated[int(rng.integers(len(repeated)))])
+                pool.add(repeated[draws.integers(len(repeated))])
             possible = sorted(pool)
         else:
             possible = list(range(m))
@@ -173,13 +234,13 @@ def _hk_edges(n, m, p, rng):
         connect(source, target)
         count = 1
         while count < m:
-            if rng.random() < p:
+            if draws.random() < p:
                 hood = sorted(
                     nb for nb in adjacency[target]
                     if nb != source and nb not in adjacency[source]
                 )
                 if hood:
-                    nb = hood[int(rng.integers(len(hood)))]
+                    nb = hood[draws.integers(len(hood))]
                     connect(source, nb)
                     target = nb
                     count += 1
@@ -195,13 +256,13 @@ def _hk_edges(n, m, p, rng):
                     break
             attempts = 0
             while target is None:
-                cand = repeated[int(rng.integers(len(repeated)))]
+                cand = repeated[draws.integers(len(repeated))]
                 if cand != source and cand not in adjacency[source]:
                     target = cand
                 attempts += 1
                 if attempts > 64 * n:
                     fresh = sorted(set(range(source)) - adjacency[source])
-                    target = fresh[int(rng.integers(len(fresh)))]
+                    target = fresh[draws.integers(len(fresh))]
             connect(source, target)
             count += 1
         repeated.extend([source] * m)
@@ -759,6 +820,8 @@ def load_instance(path) -> LinearGlbProblem:
     for ell, piece in enumerate(pieces_doc):
         if not isinstance(piece, dict) or "A" not in piece or "b" not in piece:
             raise InstanceFormatError(f"{path}: piece {ell + 1} must carry fields 'A' and 'b'")
+        if not isinstance(piece["A"], list):
+            raise InstanceFormatError(f"{path}: piece {ell + 1} field 'A' must be a list of entries")
         rows, cols, vals = [], [], []
         for k, entry in enumerate(piece["A"]):
             if not isinstance(entry, (list, tuple)) or len(entry) != 3:
@@ -780,16 +843,20 @@ def load_instance(path) -> LinearGlbProblem:
             vals.append(float(v))
         b = _vector(piece["b"], n, f"piece {ell + 1} offset b", path)
         pieces.append((sparse.coo_array((vals, (rows, cols)), shape=(n, n)), b))
-    meta = doc.get("meta") or {}
+    meta = doc.get("meta")
+    if meta is None:
+        meta = {}
+    elif not isinstance(meta, dict):
+        raise InstanceFormatError(f"{path}: meta must be an object, got {type(meta).__name__}")
     return LinearGlbProblem(pieces, U=U, a=a, meta=meta)
 
 
 def _vector(values, n: int, name: str, path) -> np.ndarray:
-    if isinstance(values, list):
-        for k, v in enumerate(values):
-            if type(v) not in (int, float):  # JSON numbers only: no bool, no numeric string
-                raise InstanceFormatError(f"{path}: {name} entry {k}: expected a number, got {v!r}")
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != (n,):
-        raise InstanceFormatError(f"{path}: {name} must have length {n}, got shape {arr.shape}")
-    return arr
+    if not isinstance(values, list):
+        raise InstanceFormatError(f"{path}: {name} must be a list of numbers, got {type(values).__name__}")
+    for k, v in enumerate(values):
+        if type(v) not in (int, float):  # JSON numbers only: no bool, no numeric string
+            raise InstanceFormatError(f"{path}: {name} entry {k}: expected a number, got {v!r}")
+    if len(values) != n:
+        raise InstanceFormatError(f"{path}: {name} must have length {n}, got {len(values)}")
+    return np.array(values, dtype=float)

@@ -224,6 +224,18 @@ class TestCli:
         assert main(["solve", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, field", [
+        ({"n": 1, "pieces": [{"A": 5, "b": [0.0]}], "U": [1.0]}, "'A'"),
+        ({"n": 1, "pieces": [], "U": {"x": 1}}, "U"),
+        ({"n": 1, "pieces": [], "U": [1.0], "meta": [1, 2]}, "meta"),
+    ])
+    def test_solve_wrong_container_exits_one(self, doc, field, tmp_path, capsys):
+        path = tmp_path / "wrong.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err and "Traceback" not in err
+
     def test_missing_file_exits_one(self, capsys):
         assert main(["solve", "/nonexistent/path.json"]) == 1
 

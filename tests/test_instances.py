@@ -31,6 +31,7 @@ from glbopt import (
     speed_planning_problem,
 )
 from glbopt.bench import SweepConfig, make_instance
+from glbopt.instances import _ScalarDraws
 
 
 class TestGraphGenerators:
@@ -101,6 +102,149 @@ class TestGraphGenerators:
         g = gen_graph(tag, n, seed, **params)
         edges = np.array(g.edges, dtype=np.int64)
         assert hashlib.sha256(edges.tobytes()).hexdigest()[:32] == digest
+
+    @pytest.mark.parametrize("n", [6, 50, 1000])
+    @pytest.mark.parametrize("tag, params", [
+        ("ba", {"m": 1}), ("ba", {"m": 5}), ("nws", {"p": 0.3}), ("nws", {}),
+        ("hk", {"p": 1.0}), ("hk", {}),
+    ], ids=["ba-m1", "ba-m5", "nws-p0.3", "nws", "hk-p1", "hk"])
+    def test_matches_scalar_generator_draws(self, tag, params, n):
+        for seed in range(20):
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+            if tag == "ba":
+                expected = _reference_ba(n, params["m"], rng)
+            elif tag == "nws":
+                expected = _reference_nws(n, 2, params.get("p", 3.0 / n), rng)
+            else:
+                expected = _reference_hk(n, 4, params.get("p", 0.25), rng)
+            assert gen_graph(tag, n, seed, **params).edges == tuple(sorted(expected)), seed
+
+
+# The generators as first written, one scalar Generator call per draw: the
+# reference that every graph gen_graph builds must reproduce edge for edge.
+
+def _reference_ba(n, m, rng):
+    edges = []
+    repeated = []
+    targets = list(range(m))
+    for source in range(m, n):
+        edges.extend((t, source) for t in targets)
+        repeated.extend(targets)
+        repeated.extend([source] * m)
+        chosen = set()
+        while len(chosen) < m:
+            chosen.add(repeated[int(rng.integers(len(repeated)))])
+        targets = sorted(chosen)
+    return edges
+
+
+def _reference_nws(n, k, p, rng):
+    edge_set = set()
+    for u in range(n):
+        for d in range(1, k // 2 + 1):
+            v = (u + d) % n
+            edge_set.add((min(u, v), max(u, v)))
+    degree = [k] * n
+    for u, _ in sorted(edge_set):
+        if rng.random() < p:
+            if degree[u] >= n - 1:
+                continue
+            while True:
+                w = int(rng.integers(n))
+                if w != u and (min(u, w), max(u, w)) not in edge_set:
+                    break
+            edge_set.add((min(u, w), max(u, w)))
+            degree[u] += 1
+            degree[w] += 1
+    return edge_set
+
+
+def _reference_hk(n, m, p, rng):
+    edge_set = set()
+    adjacency = [set() for _ in range(n)]
+    repeated = []
+
+    def connect(u, v):
+        edge_set.add((min(u, v), max(u, v)))
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+        repeated.append(v)
+
+    for source in range(m, n):
+        if repeated:
+            pool = set()
+            while len(pool) < m:
+                pool.add(repeated[int(rng.integers(len(repeated)))])
+            possible = sorted(pool)
+        else:
+            possible = list(range(m))
+        target = possible.pop()
+        connect(source, target)
+        count = 1
+        while count < m:
+            if rng.random() < p:
+                hood = sorted(
+                    nb for nb in adjacency[target]
+                    if nb != source and nb not in adjacency[source]
+                )
+                if hood:
+                    nb = hood[int(rng.integers(len(hood)))]
+                    connect(source, nb)
+                    target = nb
+                    count += 1
+                    continue
+            target = None
+            while possible:
+                cand = possible.pop()
+                if cand not in adjacency[source]:
+                    target = cand
+                    break
+            attempts = 0
+            while target is None:
+                cand = repeated[int(rng.integers(len(repeated)))]
+                if cand != source and cand not in adjacency[source]:
+                    target = cand
+                attempts += 1
+                if attempts > 64 * n:
+                    fresh = sorted(set(range(source)) - adjacency[source])
+                    target = fresh[int(rng.integers(len(fresh)))]
+            connect(source, target)
+            count += 1
+        repeated.extend([source] * m)
+    return edge_set
+
+
+class TestScalarDraws:
+    BOUNDS = [1, 2, 3, 7, 2**16 + 1, 2**31 + 1, 2**32 - 1, 2**32]
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_equals_generator_draws(self, seed):
+        # 2**31 + 1 redraws about half its words, so the redraw branch runs;
+        # random() between 32-bit draws leaves a pending high half in place
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        draws = _ScalarDraws(np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed))))
+        schedule = np.random.default_rng(seed + 1)
+        for step in range(5000):
+            pick = int(schedule.integers(len(self.BOUNDS) + 1))
+            if pick == len(self.BOUNDS):
+                assert draws.random() == rng.random(), step
+            else:
+                k = self.BOUNDS[pick]
+                assert draws.integers(k) == int(rng.integers(k)), (step, k)
+        assert draws.random() == rng.random()
+
+    def test_each_bound_alone(self):
+        # long runs of one bound cross several raw-output blocks
+        for k in self.BOUNDS:
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(k)))
+            draws = _ScalarDraws(np.random.Generator(np.random.PCG64(np.random.SeedSequence(k))))
+            assert [draws.integers(k) for _ in range(3000)] == rng.integers(k, size=3000).tolist()
+
+    def test_bounds_outside_32_bits_rejected(self):
+        draws = _ScalarDraws(np.random.Generator(np.random.PCG64(1)))
+        for k in (0, -1, 2**32 + 1):
+            with pytest.raises(ValueError, match="bound"):
+                draws.integers(k)
 
 
 class TestRandomLinearProblem:
@@ -483,6 +627,17 @@ class TestInstanceFiles:
             (json.dumps({"n": 2, "pieces": [{"A": [], "b": ["0.25", 0.0]}], "U": [1.0, 1.0]}),
              "piece 1 offset b entry 0"),
             (json.dumps({"n": 2, "pieces": [], "U": ["1.0", 2.0]}), "U entry 0"),
+            # containers of the wrong kind
+            (json.dumps({"n": 1, "pieces": [{"A": 5, "b": [0.0]}], "U": [1.0]}),
+             "piece 1 field 'A' must be a list"),
+            (json.dumps({"n": 1, "pieces": [], "U": {"x": 1}}), "U must be a list of numbers"),
+            (json.dumps({"n": 1, "pieces": [], "U": [1.0], "a": {"x": 1}}),
+             "a must be a list of numbers"),
+            (json.dumps({"n": 1, "pieces": [{"A": [], "b": {"x": 1}}], "U": [1.0]}),
+             "piece 1 offset b must be a list of numbers"),
+            (json.dumps({"n": 1, "pieces": [], "U": [1.0], "meta": [1, 2]}),
+             "meta must be an object"),
+            (json.dumps({"n": 1, "pieces": [], "U": [1.0], "meta": "x"}), "meta must be an object"),
         ]
         for text, message in cases:
             path = tmp_path / "doc.json"
