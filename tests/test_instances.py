@@ -233,13 +233,6 @@ class TestScalarDraws:
                 assert draws.integers(k) == int(rng.integers(k)), (step, k)
         assert draws.random() == rng.random()
 
-    def test_each_bound_alone(self):
-        # long runs of one bound cross several raw-output blocks
-        for k in self.BOUNDS:
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(k)))
-            draws = _ScalarDraws(np.random.Generator(np.random.PCG64(np.random.SeedSequence(k))))
-            assert [draws.integers(k) for _ in range(3000)] == rng.integers(k, size=3000).tolist()
-
     def test_bounds_outside_32_bits_rejected(self):
         draws = _ScalarDraws(np.random.Generator(np.random.PCG64(1)))
         for k in (0, -1, 2**32 + 1):
