@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import weakref
 
 import numpy as np
@@ -516,6 +517,18 @@ class TestLpForm:
         path = tmp_path / "third.lp"
         write_lp(p, path)
         assert f"{third:.17g}" in path.read_text()
+
+    @pytest.mark.parametrize("family, digest", [
+        ("ba", "0c87e253b6184bc300d2eb829d7563dca0479cb526bbdfcc974db77f9618c080"),
+        ("hjb", "5c1e67d43380da9cefa3709a3127a2ba6ed81cbf8fdbfbabf850184fb12ab6c8"),
+        ("speedplan", "2fc144adca23c2b8c99b647c4f73c80bda6b39139f4fbd4f8df4f23f78fa7caa"),
+    ])
+    def test_written_bytes_are_pinned(self, family, digest, tmp_path):
+        # the LP text is an export format: same bytes for the same problem,
+        # including the wrapping of rows longer than 220 characters
+        path = tmp_path / f"{family}.lp"
+        write_lp(make_instance(SweepConfig(family=family), 40, 3), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestSolverAgreement:
