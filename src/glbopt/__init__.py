@@ -10,8 +10,6 @@ dynamic-programming families, reference oracles, and a benchmark harness.
 """
 
 from .lattice import (
-    DependencyGraph,
-    GenericProblem,
     InvalidMapError,
     MonotoneMap,
     NonConvergenceError,
@@ -78,10 +76,9 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DependencyGraph", "GenericProblem", "InvalidMapError", "MonotoneMap",
-    "NonConvergenceError", "OpCounter", "SolveReport", "StartPointError",
-    "build_dependency_graph", "error_bound", "fixed_point_solve", "residual",
-    "selective_update_solve",
+    "InvalidMapError", "MonotoneMap", "NonConvergenceError", "OpCounter",
+    "SolveReport", "StartPointError", "build_dependency_graph", "error_bound",
+    "fixed_point_solve", "residual", "selective_update_solve",
     "LinearGlbProblem", "LpForm",
     "ProblemDataError", "RedundantRowWarning", "contraction_rates",
     "dominant_diagonal_gap", "fixed_point_linear", "precondition",

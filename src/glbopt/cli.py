@@ -9,6 +9,7 @@ All other commands use 0/1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -41,6 +42,7 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+@functools.cache  # one parser per process: building one costs about 25 parses
 def _build_parser() -> _Parser:
     parser = _Parser(prog="glbopt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -205,9 +207,8 @@ def _cmd_export_lp(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         if args.command == "gen":
             return _cmd_gen(args)
         if args.command == "solve":

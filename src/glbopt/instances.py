@@ -334,14 +334,13 @@ def dominant_diagonal_problem(
     delta: float,
     seed: int,
     *,
-    offdiag_per_row: int = 2,
     max_offset: float = 1.0,
     cap: float | None = None,
 ) -> LinearGlbProblem:
-    """Instance whose rows have diagonal ``gamma * (1 - delta/2)`` and
-    off-diagonal sum ``0.4 * delta * gamma``: the realized dominance gap is
-    about ``0.42 * delta``, safely inside any target interval the caller
-    picked ``delta`` from."""
+    """Instance whose rows have diagonal ``gamma * (1 - delta/2)`` and up to
+    two off-diagonal entries summing to ``0.4 * delta * gamma``: the realized
+    dominance gap is about ``0.42 * delta``, safely inside any target interval
+    the caller picked ``delta`` from."""
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
     if not 0.0 < delta < 1.0:
@@ -358,7 +357,7 @@ def dominant_diagonal_problem(
             rows.append(i)
             cols.append(i)
             vals.append(diag_value)
-            others = rng.choice([j for j in range(n) if j != i], size=min(offdiag_per_row, n - 1), replace=False)
+            others = rng.choice([j for j in range(n) if j != i], size=min(2, n - 1), replace=False)
             weights = rng.uniform(0.2, 1.0, size=len(others))
             weights *= off_total / weights.sum()
             for j, w in zip(others, weights):
@@ -840,7 +839,12 @@ def load_instance(path) -> LinearGlbProblem:
                 )
             rows.append(r)
             cols.append(c)
-            vals.append(float(v))
+            try:
+                vals.append(float(v))
+            except OverflowError:
+                raise InstanceFormatError(
+                    f"{path}: piece {ell + 1}, entry {k}: integer beyond the float range"
+                ) from None
         b = _vector(piece["b"], n, f"piece {ell + 1} offset b", path)
         pieces.append((sparse.coo_array((vals, (rows, cols)), shape=(n, n)), b))
     meta = doc.get("meta")
@@ -859,4 +863,16 @@ def _vector(values, n: int, name: str, path) -> np.ndarray:
             raise InstanceFormatError(f"{path}: {name} entry {k}: expected a number, got {v!r}")
     if len(values) != n:
         raise InstanceFormatError(f"{path}: {name} must have length {n}, got {len(values)}")
-    return np.array(values, dtype=float)
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:
+        k = next(k for k, v in enumerate(values) if not _fits_float(v))
+        raise InstanceFormatError(f"{path}: {name} entry {k}: integer beyond the float range") from None
+
+
+def _fits_float(v) -> bool:
+    try:
+        float(v)
+    except OverflowError:
+        return False
+    return True

@@ -46,7 +46,8 @@ class OpCounter:
 
 
 class MonotoneMap:
-    """Component-wise monotone map with declared sparsity and a cap vector.
+    """The general-case problem: a component-wise monotone map with declared
+    sparsity, a cap vector and, optionally, the lower bound ``a``.
 
     Parameters
     ----------
@@ -66,8 +67,8 @@ class MonotoneMap:
     contraction_rate : float, optional
         Declared infinity-norm Lipschitz constant, when one is known.
     lower_bound : array, optional
-        The lower bound ``a`` of the surrounding problem, used for feasibility
-        flags and default iteration budgets.
+        The lower bound ``a`` of the problem, used for feasibility flags and
+        default iteration budgets.
     """
 
     def __init__(
@@ -86,87 +87,49 @@ class MonotoneMap:
         self.cap = np.asarray(cap, dtype=float)
         if self.cap.shape != (self.n,):
             raise ValueError(f"cap must have shape ({self.n},), got {self.cap.shape}")
-        self._eval_component = eval_component
-        self._dependencies = dependencies
+        if lower_bound is not None:
+            lower_bound = np.asarray(lower_bound, dtype=float)
+            if lower_bound.shape != (self.n,):
+                raise ValueError(f"a must have shape ({self.n},), got {lower_bound.shape}")
+        self.eval_component = eval_component
+        self.dependencies = dependencies
         self._eval = eval
         self.contraction_rate = contraction_rate
-        self.lower_bound = None if lower_bound is None else np.asarray(lower_bound, dtype=float)
-
-    def eval_component(self, i: int, x: np.ndarray) -> float:
-        return self._eval_component(i, x)
-
-    def dependencies(self, i: int) -> Sequence[int]:
-        return self._dependencies(i)
+        self.lower_bound = lower_bound
 
     def eval(self, x: np.ndarray) -> np.ndarray:
         if self._eval is not None:
             return np.asarray(self._eval(x), dtype=float)
         x = np.asarray(x, dtype=float)
-        return np.array([self._eval_component(i, x) for i in range(self.n)], dtype=float)
-
-
-@dataclass(frozen=True)
-class GenericProblem:
-    """A monotone map together with the lower bound ``a`` of the feasible set.
-
-    The objective tag is informational only: the optimum is the top of the
-    feasible lattice for every strictly increasing objective, so solvers
-    never consult it.
-    """
-
-    g: MonotoneMap
-    a: np.ndarray
-    objective_tag: str | None = None
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        if a.shape != (self.g.n,):
-            raise ValueError(f"a must have shape ({self.g.n},), got {a.shape}")
-        object.__setattr__(self, "a", a)
+        return np.array([self.eval_component(i, x) for i in range(self.n)], dtype=float)
 
     def lower_bound_feasible(self) -> bool:
         """Whether g(a) >= a, the precondition for a non-empty feasible set."""
-        if self.g.n == 0:
+        a = self.lower_bound
+        if a is None:
+            raise ValueError("the map declares no lower bound")
+        if self.n == 0:
             return True
-        return bool(np.all(self.g.eval(self.a) >= self.a))
+        return bool(np.all(self.eval(a) >= a))
 
 
-@dataclass(frozen=True)
-class DependencyGraph:
-    """Neighbor sets N(i) = {j : g_j reads x_i}, each sorted ascending."""
-
-    n: int
-    out_neighbors: tuple[tuple[int, ...], ...]
-    in_degrees: tuple[int, ...]
-
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        return self.out_neighbors[i]
-
-
-def build_dependency_graph(g: MonotoneMap) -> DependencyGraph:
-    """Invert the declared dependency sets of ``g`` into neighbor sets.
+def build_dependency_graph(g: MonotoneMap) -> tuple[tuple[int, ...], ...]:
+    """Neighbor sets N(i) = {j : g_j reads x_i} of ``g``, each sorted ascending.
 
     Raises :class:`InvalidMapError` when some ``g_i`` declares a dependency
     on its own variable, which the problem class forbids.
     """
     n = g.n
     neighbor_sets: list[list[int]] = [[] for _ in range(n)]
-    in_degrees = []
     for j in range(n):
-        deps = sorted(set(g.dependencies(j)))
-        for i in deps:
+        for i in sorted(set(g.dependencies(j))):
             if i == j:
                 raise InvalidMapError(f"component map {j} declares a dependency on its own variable")
             if not 0 <= i < n:
                 raise InvalidMapError(f"component map {j} depends on out-of-range variable {i}")
             neighbor_sets[i].append(j)
-        in_degrees.append(len(deps))
     # j ascends in the fill loop, so each N(i) is already sorted.
-    return DependencyGraph(
-        n=n,
-        out_neighbors=tuple(tuple(s) for s in neighbor_sets),
-        in_degrees=tuple(in_degrees),
-    )
+    return tuple(tuple(s) for s in neighbor_sets)
 
 
 @dataclass
@@ -264,7 +227,7 @@ def _report(
         policy=policy,
         epsilon=eps,
         iterations=iterations,
-        error_bound=(eps / (1.0 - rate)) if rate is not None and rate < 1.0 else None,
+        error_bound=error_bound(1.0 - rate, eps) if rate is not None and rate < 1.0 else None,
         verify_multiplications=verify_muls,
     )
 
@@ -351,7 +314,7 @@ def fixed_point_solve(
 
 
 def selective_update_solve(
-    problem: GenericProblem,
+    g: MonotoneMap,
     x0=None,
     eps: float = 1e-9,
     policy: str = "fifo",
@@ -360,12 +323,13 @@ def selective_update_solve(
     counter: OpCounter | None = None,
     max_iter: int | None = None,
 ) -> SolveReport:
-    """Priority-queue selective update for a generic monotone problem.
+    """Priority-queue selective update on the monotone map ``g``.
 
     Starting from ``x0`` (default: the cap vector) with ``x0 >= g(x0)``, the
     solver re-evaluates only the component maps affected by the last change,
     ordered by ``policy``.  On exit the queue is empty, every stored residual
-    is at most ``eps``, and the feasible flag records ``x >= a``.  A run that
+    is at most ``eps``, and the feasible flag records ``x >= a`` when ``g``
+    declares a lower bound ``a``.  A run that
     needs more than ``max_iter * n`` component updates (the work of
     ``max_iter`` full sweeps) raises :class:`NonConvergenceError` carrying
     the iterate; ``None`` sets no budget.
@@ -373,7 +337,6 @@ def selective_update_solve(
     ``monitor``, when given, is called with the live ``(x, xi)`` arrays at
     every main-loop head; it must not mutate them.
     """
-    g = problem.g
     n = g.n
     x, empty = _start(n, g.cap if x0 is None else x0, eps, policy)
     if empty is not None:
@@ -381,7 +344,7 @@ def selective_update_solve(
     start_muls = counter.multiplications if counter is not None else 0
     t0 = time.perf_counter()
 
-    graph = build_dependency_graph(g)
+    neighbors = build_dependency_graph(g)
     xi = x - g.eval(x)
     _check_start(xi, eps)
 
@@ -393,7 +356,6 @@ def selective_update_solve(
     budget = _update_budget(max_iter, n)
     dequeues = 0
     updates = 0
-    neighbors = graph.out_neighbors
     while True:
         if monitor is not None:
             monitor(x, xi)
@@ -418,6 +380,6 @@ def selective_update_solve(
         xi[i] = 0.0
 
     muls = (counter.multiplications - start_muls) if counter is not None else 0
-    return _report(x, problem.a, t0, eps, policy, g.contraction_rate,
+    return _report(x, g.lower_bound, t0, eps, policy, g.contraction_rate,
                    residual=max(0.0, float(np.max(xi))), muls=muls, updates=updates,
                    dequeues=dequeues, iterations=updates)

@@ -186,9 +186,8 @@ class LinearGlbProblem:
 
         For each column ``i``: ``cols[i]`` holds ``(ell, ((j, A_l[j, i]), ...))``
         for every piece storing an entry in column i, ``touched[i]`` the sorted
-        rows stored in column i by any piece, ``col_nnz[i]`` the entry count
-        over all pieces and ``self_coupled[i]`` whether any piece stores
-        ``A_l[i, i]``.
+        rows stored in column i by any piece and ``col_nnz[i]`` the entry
+        count over all pieces.
 
         Every per-column entry is a tuple of ints and floats, which the
         garbage collector stops tracking after it has seen them, so later
@@ -219,8 +218,7 @@ class LinearGlbProblem:
             rows = tuple(index[pattern.indices].tolist())
             ptr = pattern.indptr.tolist()
             touched = [rows[ptr[i]:ptr[i + 1]] for i in range(n)]
-            self_coupled = (pattern.diagonal() > 0).tolist()
-            self._tables = (cols, touched, col_nnz.tolist(), self_coupled)
+            self._tables = (cols, touched, col_nnz.tolist())
         return self._tables
 
 
@@ -237,10 +235,8 @@ def contraction_rates(p: LinearGlbProblem) -> tuple[float, float]:
         for A, _ in p.pieces:
             if A.nnz:
                 gamma = max(gamma, float(A.sum(axis=1).max()))
-        if p.L == 0 or p.n == 0:
-            gamma_hat = 0.0
-        else:
-            gamma_hat = 0.0
+        gamma_hat = 0.0
+        if p.n:
             for A, _ in p.pieces:
                 d = A.diagonal()
                 gamma_hat = max(gamma_hat, float(np.max((gamma - d) / (1.0 - d))))
@@ -367,7 +363,7 @@ def _selective_run(p, rate, x0, eps, policy, monitor, max_iter):
     muls = p.total_nnz
     _check_start(xi_arr, eps)
 
-    cols, touched, col_nnz, self_coupled = p._selective_tables()
+    cols, touched, col_nnz = p._selective_tables()
     x = x_arr.tolist()
     xi = xi_arr.tolist()
     etas = [e.tolist() for e in etas_np]
@@ -407,6 +403,7 @@ def _selective_run(p, rate, x0, eps, policy, monitor, max_iter):
         if updates >= budget:
             raise _out_of_updates(x, xi, budget, eps)
         x[i] -= v
+        xi[i] = 0.0  # a piece storing A_l[i, i] refreshes it in the loop below
         updates += 1
         for ell, pairs in cols[i]:
             eta = etas[ell]
@@ -423,9 +420,6 @@ def _selective_run(p, rate, x0, eps, policy, monitor, max_iter):
             xi[j] = r
             if r > eps:
                 enqueue(j, x[j], r)
-        if not self_coupled[i]:
-            # with a nonzero diagonal the loop above just refreshed xi[i]
-            xi[i] = 0.0
 
     return _report(np.array(x), p.a, t0, eps, policy, rate, residual=max(0.0, max(xi)),
                    muls=muls, updates=updates, dequeues=dequeues, iterations=updates,
@@ -463,7 +457,6 @@ class LpForm:
     C: sparse.csr_array
     d: np.ndarray
     U: np.ndarray
-    n: int
     row_names: tuple[str, ...]
 
 
@@ -476,20 +469,20 @@ def to_lp_form(p: LinearGlbProblem) -> LpForm:
     d = -np.concatenate([b for _, b in p.pieces] + [p.U])
     names = [f"c_{ell + 1}_{i + 1}" for ell in range(p.L) for i in range(n)]
     names += [f"cap_{i + 1}" for i in range(n)]
-    return LpForm(C=C, d=d, U=p.U.copy(), n=n, row_names=tuple(names))
+    return LpForm(C=C, d=d, U=p.U.copy(), row_names=tuple(names))
 
 
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def write_lp(p_or_form: LinearGlbProblem | LpForm, path) -> None:
-    """Write the CPLEX-LP text form: maximize ``x1 + ... + xn`` subject to the
-    :class:`LpForm` rows, with bounds ``0 <= xi <= Ui``.  Coefficients use the
-    full 17-significant-digit decimal representation."""
-    form = to_lp_form(p_or_form) if isinstance(p_or_form, LinearGlbProblem) else p_or_form
+def write_lp(p: LinearGlbProblem, path) -> None:
+    """Write the CPLEX-LP text form of ``p``: maximize ``x1 + ... + xn``
+    subject to the :func:`to_lp_form` rows, with bounds ``0 <= xi <= Ui``.
+    Coefficients use the full 17-significant-digit decimal representation."""
+    form = to_lp_form(p)
     lines = ["Maximize"]
-    obj_terms = [f"x{i + 1}" for i in range(form.n)]
+    obj_terms = [f"x{i + 1}" for i in range(p.n)]
     lines.extend(_wrap_expr(" obj: " + " + ".join(obj_terms) if obj_terms else " obj: 0"))
     lines.append("Subject To")
     C = form.C
@@ -507,20 +500,23 @@ def write_lp(p_or_form: LinearGlbProblem | LpForm, path) -> None:
         rhs = _fmt(-form.d[r])
         lines.extend(_wrap_expr(f" {name}: " + " ".join(parts) + " <= " + rhs))
     lines.append("Bounds")
-    for i in range(form.n):
+    for i in range(p.n):
         lines.append(f" 0 <= x{i + 1} <= {_fmt(form.U[i])}")
     lines.append("End")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _wrap_expr(line: str, width: int = 220) -> list[str]:
-    if len(line) <= width:
+_LP_LINE_WIDTH = 220
+
+
+def _wrap_expr(line: str) -> list[str]:
+    if len(line) <= _LP_LINE_WIDTH:
         return [line]
     out = []
     current = ""
     for token in line.split(" "):
-        if current and len(current) + 1 + len(token) > width:
+        if current and len(current) + 1 + len(token) > _LP_LINE_WIDTH:
             out.append(current)
             current = " " + token
         else:

@@ -18,6 +18,7 @@ import numpy as np
 from .linear import LinearGlbProblem, contraction_rates, precondition
 
 ORACLE_TOL = 1e-12
+_GRID_CHUNK = 1 << 18  # grid points brute_force_max evaluates per batch
 
 
 @dataclass(frozen=True)
@@ -84,11 +85,7 @@ def verify_epsilon_solution(p: LinearGlbProblem, x, eps: float) -> bool:
     return float(np.max(np.abs(x - p.glb_eval(x)))) <= eps
 
 
-def brute_force_max(
-    p: LinearGlbProblem,
-    grid_step: float,
-    chunk: int = 1 << 18,
-) -> np.ndarray | None:
+def brute_force_max(p: LinearGlbProblem, grid_step: float) -> np.ndarray | None:
     """Join of all feasible points of the grid ``{a + k * grid_step}`` in the box.
 
     Valid as a maximality oracle because the feasible set is join-closed, so
@@ -112,8 +109,8 @@ def brute_force_max(
     sizes = [len(ax) for ax in axes]
     total = math.prod(sizes)
     best: np.ndarray | None = None
-    for start in range(0, total, chunk):
-        flat = np.arange(start, min(start + chunk, total))
+    for start in range(0, total, _GRID_CHUNK):
+        flat = np.arange(start, min(start + _GRID_CHUNK, total))
         coords = np.unravel_index(flat, sizes)
         X = np.column_stack([axes[d][coords[d]] for d in range(p.n)])
         feasible = np.all(X <= p.glb_eval_batch(X), axis=1)

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from glbopt import (
-    GenericProblem,
     HjbGridSpec,
     SpeedPlanSpec,
     brute_force_max,

@@ -631,6 +631,14 @@ class TestInstanceFiles:
             (json.dumps({"n": 1, "pieces": [], "U": [1.0], "meta": [1, 2]}),
              "meta must be an object"),
             (json.dumps({"n": 1, "pieces": [], "U": [1.0], "meta": "x"}), "meta must be an object"),
+            # JSON integers beyond the float range
+            (json.dumps({"n": 1, "pieces": [], "U": [10**400]}), "U entry 0: integer beyond"),
+            (json.dumps({"n": 2, "pieces": [], "U": [1.0, 1.0], "a": [0.0, -10**400]}),
+             "a entry 1: integer beyond"),
+            (json.dumps({"n": 1, "pieces": [{"A": [], "b": [10**400]}], "U": [1.0]}),
+             "piece 1 offset b entry 0: integer beyond"),
+            (json.dumps({"n": 2, "pieces": [{"A": [[0, 1, 0.5], [1, 0, 10**400]], "b": [0.0, 0.0]}],
+                         "U": [1.0, 1.0]}), r"piece 1, entry 1: integer beyond"),
         ]
         for text, message in cases:
             path = tmp_path / "doc.json"

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from glbopt import (
-    GenericProblem,
     InvalidMapError,
     MonotoneMap,
     NonConvergenceError,
@@ -29,7 +28,7 @@ def map_from_dependencies(deps, n=None):
     )
 
 
-def two_var_map(counter=None):
+def two_var_map(counter=None, a=(0.0, 0.0)):
     """g(x) = (min(0.5 x2 + 1, 10), min(0.5 x1 + 1, 10)); fixed point (2, 2)."""
 
     def component(i, x):
@@ -43,7 +42,7 @@ def two_var_map(counter=None):
         dependencies=lambda i: [1 - i],
         cap=np.array([10.0, 10.0]),
         contraction_rate=0.5,
-        lower_bound=np.zeros(2),
+        lower_bound=np.array(a),
     )
 
 
@@ -51,19 +50,18 @@ class TestDependencyGraph:
     def test_worked_three_variable_example(self):
         # g_1 reads {2, 3}, g_2 reads {1}, g_3 reads {1, 2}  (1-based as written)
         graph = build_dependency_graph(map_from_dependencies({0: [1, 2], 1: [0], 2: [0, 1]}))
-        assert graph.out_neighbors == ((1, 2), (0, 2), (0,))
-        assert graph.in_degrees == (2, 1, 2)
+        assert graph == ((1, 2), (0, 2), (0,))
 
     def test_decoupled_maps_have_empty_neighborhoods(self):
         graph = build_dependency_graph(map_from_dependencies({0: [], 1: [], 2: []}))
-        assert graph.out_neighbors == ((), (), ())
+        assert graph == ((), (), ())
 
     def test_complete_dependencies(self):
         n = 4
         deps = {i: [j for j in range(n) if j != i] for i in range(n)}
         graph = build_dependency_graph(map_from_dependencies(deps))
         for i in range(n):
-            assert graph.out_neighbors[i] == tuple(j for j in range(n) if j != i)
+            assert graph[i] == tuple(j for j in range(n) if j != i)
 
     def test_self_dependency_is_invalid(self):
         with pytest.raises(InvalidMapError, match="own variable"):
@@ -152,10 +150,6 @@ class TestFixedPointSolve:
             fixed_point_solve(g, [1.0], 1e-9, max_iter=5)
 
 
-def generic_two_var(a=(0.0, 0.0), tag=None, counter=None):
-    return GenericProblem(g=two_var_map(counter), a=np.array(a), objective_tag=tag)
-
-
 class TestMapInvariants:
     """Behavioral contracts of the problem class, checked on sampled points."""
 
@@ -185,14 +179,23 @@ class TestMapInvariants:
             assert np.all(g.eval(x) <= g.cap)
 
     def test_lower_bound_feasibility_check(self):
-        assert generic_two_var().lower_bound_feasible()           # g(0) = (1, 1) >= 0
-        assert not generic_two_var(a=(3.0, 3.0)).lower_bound_feasible()  # g(3, 3) = (2.5, 2.5) < 3
+        assert two_var_map().lower_bound_feasible()           # g(0) = (1, 1) >= 0
+        assert not two_var_map(a=(3.0, 3.0)).lower_bound_feasible()  # g(3, 3) = (2.5, 2.5) < 3
+
+    def test_feasibility_check_needs_a_lower_bound(self):
+        g = MonotoneMap(1, lambda i, x: 0.0, lambda i: [], cap=np.ones(1))
+        with pytest.raises(ValueError, match="no lower bound"):
+            g.lower_bound_feasible()
+
+    def test_lower_bound_of_wrong_shape_is_rejected(self):
+        with pytest.raises(ValueError, match=r"a must have shape \(2,\), got \(3,\)"):
+            MonotoneMap(2, lambda i, x: 0.0, lambda i: [], cap=np.ones(2), lower_bound=np.zeros(3))
 
 
 class TestSelectiveUpdateSolve:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_two_var_all_policies(self, policy):
-        report = selective_update_solve(generic_two_var(), eps=1e-9, policy=policy)
+        report = selective_update_solve(two_var_map(), eps=1e-9, policy=policy)
         assert np.allclose(report.x, [2.0, 2.0], atol=1e-8)
         assert report.feasible
         assert report.residual_inf <= 1e-9
@@ -202,37 +205,29 @@ class TestSelectiveUpdateSolve:
         a = np.array([1.5, 0.5])
         g = MonotoneMap(2, lambda i, x: a[i], lambda i: [], cap=a,
                         lower_bound=a)
-        report = selective_update_solve(GenericProblem(g=g, a=a), eps=1e-12)
+        report = selective_update_solve(g, eps=1e-12)
         assert np.array_equal(report.x, a)
         assert report.feasible
 
     def test_infeasible_lower_bound_is_flagged(self):
-        report = selective_update_solve(generic_two_var(a=(3.0, 3.0)), eps=1e-9)
+        report = selective_update_solve(two_var_map(a=(3.0, 3.0)), eps=1e-9)
         assert not report.feasible
         assert np.allclose(report.x, [2.0, 2.0], atol=1e-8)
 
     def test_start_below_image_is_rejected(self):
         with pytest.raises(StartPointError, match="x0 < g"):
-            selective_update_solve(generic_two_var(), x0=np.zeros(2), eps=1e-9)
-
-    def test_objective_tag_never_changes_the_answer(self):
-        runs = [
-            selective_update_solve(generic_two_var(tag=tag), eps=1e-9, policy="variation")
-            for tag in (None, "total-time", "sum")
-        ]
-        for other in runs[1:]:
-            assert np.array_equal(runs[0].x, other.x)
+            selective_update_solve(two_var_map(), x0=np.zeros(2), eps=1e-9)
 
     def test_empty_problem(self):
-        g = MonotoneMap(0, lambda i, x: 0.0, lambda i: [], cap=np.zeros(0))
-        report = selective_update_solve(GenericProblem(g=g, a=np.zeros(0)), eps=1e-9)
+        g = MonotoneMap(0, lambda i, x: 0.0, lambda i: [], cap=np.zeros(0), lower_bound=np.zeros(0))
+        report = selective_update_solve(g, eps=1e-9)
         assert report.x.size == 0
         assert report.feasible
         assert report.residual_inf == 0.0
 
     def test_single_variable_constant_component(self):
-        g = MonotoneMap(1, lambda i, x: 2.5, lambda i: [], cap=np.array([9.0]))
-        report = selective_update_solve(GenericProblem(g=g, a=np.zeros(1)), x0=np.array([9.0]), eps=1e-12)
+        g = MonotoneMap(1, lambda i, x: 2.5, lambda i: [], cap=np.array([9.0]), lower_bound=np.zeros(1))
+        report = selective_update_solve(g, x0=np.array([9.0]), eps=1e-12)
         assert report.x[0] == 2.5
 
     def test_monitor_sees_descent_invariants(self):
@@ -241,7 +236,7 @@ class TestSelectiveUpdateSolve:
         def monitor(x, xi):
             heads.append((x.copy(), xi.copy()))
 
-        report = selective_update_solve(generic_two_var(), eps=1e-9, policy="fifo", monitor=monitor)
+        report = selective_update_solve(two_var_map(), eps=1e-9, policy="fifo", monitor=monitor)
         assert heads, "main loop should run"
         for k, (x, xi) in enumerate(heads):
             assert np.all(xi >= 0.0)
@@ -251,15 +246,15 @@ class TestSelectiveUpdateSolve:
 
     def test_update_budget_is_max_iter_sweeps_of_work(self):
         # the run needs 34 updates: 17 sweeps' worth at n = 2
-        report = selective_update_solve(generic_two_var(), eps=1e-9, max_iter=17)
+        report = selective_update_solve(two_var_map(), eps=1e-9, max_iter=17)
         assert report.component_updates == 34
         with pytest.raises(NonConvergenceError, match="after 32 component updates") as info:
-            selective_update_solve(generic_two_var(), eps=1e-9, max_iter=16)
+            selective_update_solve(two_var_map(), eps=1e-9, max_iter=16)
         assert info.value.residual_inf > 1e-9 and info.value.x.shape == (2,)
 
     def test_multiplication_counter_via_adapter(self):
         counter = OpCounter()
-        report = selective_update_solve(generic_two_var(counter=counter), eps=1e-9,
+        report = selective_update_solve(two_var_map(counter=counter), eps=1e-9,
                                         policy="fifo", counter=counter)
         # init pass evaluates both components, then one neighbor eval per update
         assert report.scalar_multiplications == 2 + report.component_updates

@@ -7,7 +7,6 @@ import pytest
 from scipy import sparse
 
 from glbopt import (
-    GenericProblem,
     LinearGlbProblem,
     MonotoneMap,
     NonConvergenceError,
@@ -132,8 +131,7 @@ def reference_tables(p):
             touched_sets[i].update(js)
             col_nnz[i] += hi - lo
     touched = [sorted(s) for s in touched_sets]
-    self_coupled = [i in touched_sets[i] for i in range(n)]
-    return cols, touched, col_nnz, self_coupled
+    return cols, touched, col_nnz
 
 
 TABLE_FAMILIES = ["ba", "nws", "hk", "speedplan", "hjb"]
@@ -165,12 +163,11 @@ class TestSelectiveTables:
     ])
     def test_equal_to_per_column_construction(self, name):
         p = table_case(name)
-        cols, touched, col_nnz, self_coupled = p._selective_tables()
-        ref_cols, ref_touched, ref_col_nnz, ref_self_coupled = reference_tables(p)
+        cols, touched, col_nnz = p._selective_tables()
+        ref_cols, ref_touched, ref_col_nnz = reference_tables(p)
         assert [[(ell, list(pairs)) for ell, pairs in c] for c in cols] == ref_cols
         assert [list(rows) for rows in touched] == ref_touched
         assert col_nnz == ref_col_nnz
-        assert self_coupled == ref_self_coupled
         assert p._selective_tables() is p._selective_tables()
 
     def test_collector_stops_tracking_every_entry(self):
@@ -178,17 +175,17 @@ class TestSelectiveTables:
         tables = p._selective_tables()
         for _ in range(4):  # nested tuples are untracked one level per collection
             gc.collect()
-        cols, touched, col_nnz, self_coupled = tables
+        cols, touched, col_nnz = tables
         inner = list(cols) + [e for c in cols for e in c]
         inner += [pairs for c in cols for _, pairs in c]
         inner += [pair for c in cols for _, pairs in c for pair in pairs]
-        inner += touched + col_nnz + self_coupled
+        inner += touched + col_nnz
         assert len(inner) > p.total_nnz
         assert not any(gc.is_tracked(obj) for obj in inner)
 
     def test_indices_share_one_int_per_index(self):
         p = make_instance(SweepConfig(family="ba"), 1000, seed=3)
-        cols, touched, _, _ = p._selective_tables()
+        cols, touched, _ = p._selective_tables()
         indices = [j for c in cols for _, pairs in c for j, _ in pairs]
         indices += [j for rows in touched for j in rows]
         assert len(indices) > p.total_nnz
@@ -321,9 +318,10 @@ class TestSelectiveLinear:
     def test_start_point_message_matches_generic_solver(self, two_var):
         # g(1, 0) = (1, 1.5): component 1 starts 1.5 below its image
         x0 = np.array([1.0, 0.0])
-        g = MonotoneMap(2, lambda i, x: two_var.glb_eval(x)[i], lambda i: [1 - i], cap=two_var.U)
+        g = MonotoneMap(2, lambda i, x: two_var.glb_eval(x)[i], lambda i: [1 - i], cap=two_var.U,
+                        lower_bound=two_var.a)
         with pytest.raises(StartPointError) as generic:
-            selective_update_solve(GenericProblem(g=g, a=two_var.a), x0=x0, eps=1e-9)
+            selective_update_solve(g, x0=x0, eps=1e-9)
         with pytest.raises(StartPointError) as linear:
             selective_update_linear(two_var, x0=x0, eps=1e-9)
         assert "component 1" in str(generic.value)
