@@ -329,10 +329,10 @@ def selective_update_solve(
     solver re-evaluates only the component maps affected by the last change,
     ordered by ``policy``.  On exit the queue is empty, every stored residual
     is at most ``eps``, and the feasible flag records ``x >= a`` when ``g``
-    declares a lower bound ``a``.  A run that
-    needs more than ``max_iter * n`` component updates (the work of
-    ``max_iter`` full sweeps) raises :class:`NonConvergenceError` carrying
-    the iterate; ``None`` sets no budget.
+    declares a lower bound ``a``.  A run that needs more than
+    ``max_iter * n`` component updates (the work of ``max_iter`` full
+    sweeps) raises :class:`NonConvergenceError` carrying the iterate;
+    ``None`` sets no budget.
 
     ``monitor``, when given, is called with the live ``(x, xi)`` arrays at
     every main-loop head; it must not mutate them.
