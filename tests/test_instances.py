@@ -544,6 +544,21 @@ class TestDominantDiagonalGenerator:
         b = dominant_diagonal_problem(8, 2, 0.6, 0.2, seed=4)
         assert np.array_equal(a.pieces[0][0].toarray(), b.pieces[0][0].toarray())
 
+    @pytest.mark.parametrize("n, L, seed, digest", [
+        (2, 1, 0, "df1df0443ea95ef356f4370c2844d1cf"),
+        (25, 3, 7, "dab200fe9c91967f76c4f253df72c76b"),
+        (300, 4, 11, "c2ccfb048195b7f34ff6c3dfbed3b1aa"),
+    ])
+    def test_golden_pieces(self, n, L, seed, digest):
+        # every off-diagonal draw and the cap must stay as first generated
+        p = dominant_diagonal_problem(n, L, 0.6, 0.2, seed=seed)
+        h = hashlib.sha256()
+        for A, b in p.pieces:
+            for arr in (A.indptr.astype(np.int64), A.indices.astype(np.int64), A.data, b):
+                h.update(arr.tobytes())
+        h.update(p.U.tobytes())
+        assert h.hexdigest()[:32] == digest
+
 
 class TestInstanceFiles:
     def test_round_trip_is_bit_exact(self, two_var, tmp_path):
