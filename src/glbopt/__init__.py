@@ -58,7 +58,6 @@ from .instances import (
     maneuver_time,
     manipulator_problem,
     random_linear_problem,
-    rescale_pieces,
     rescale_to_gamma,
     save_instance,
     speed_plan_spec_from_csv,
@@ -88,7 +87,7 @@ __all__ = [
     "HjbGridSpec", "InstanceFormatError", "RandomGraph", "SpeedPlanSpec",
     "dominant_diagonal_problem", "gen_graph", "hjb_grid_problem",
     "load_curvature_csv", "load_instance", "maneuver_time", "manipulator_problem",
-    "random_linear_problem", "rescale_pieces", "rescale_to_gamma", "save_instance",
+    "random_linear_problem", "rescale_to_gamma", "save_instance",
     "speed_plan_spec_from_csv", "speed_planning_problem",
     "ORACLE_TOL", "OracleResult", "brute_force_max", "reference_solve",
     "sample_feasible_points", "verify_epsilon_solution",

@@ -42,6 +42,8 @@ SWEEP_COLUMNS = (
     "scalar_multiplications", "component_updates", "dequeues", "residual", "feasible",
     "verify_multiplications",
 )
+# the SolveReport counters among the columns, zero in a failed run's row
+_COUNTERS = ("scalar_multiplications", "component_updates", "dequeues", "verify_multiplications")
 
 # Fixed parameters of the speedplan and hjb sweep families.
 SPEEDPLAN = {"v_max": 5.0, "acc_t": 1.0, "acc_n": 1.0}
@@ -183,21 +185,14 @@ def run_sweep(config: SweepConfig, *, log=None) -> list[dict]:
                     except Exception as exc:  # recorded in-row, sweep continues
                         elapsed = time.perf_counter() - t0
                         log(f"run failed ({method}/{policy}, n={n}, seed={seed}): {exc}")
-                        row.update(
-                            wall_time=elapsed, scalar_multiplications=0,
-                            component_updates=0, dequeues=0,
-                            residual=float("nan"), feasible=0, verify_multiplications=0,
-                        )
+                        row.update(dict.fromkeys(_COUNTERS, 0))
+                        row.update(wall_time=elapsed, residual=float("nan"), feasible=0)
                         rows.append(row)
                         continue
+                    row.update({col: getattr(report, col) for col in _COUNTERS})
                     row.update(
-                        wall_time=report.wall_time,
-                        scalar_multiplications=report.scalar_multiplications,
-                        component_updates=report.component_updates,
-                        dequeues=report.dequeues,
-                        residual=report.residual_inf,
+                        wall_time=report.wall_time, residual=report.residual_inf,
                         feasible=int(report.feasible),
-                        verify_multiplications=report.verify_multiplications,
                     )
                     rows.append(row)
                     if config.time_budget is not None and report.wall_time > config.time_budget:
@@ -216,8 +211,7 @@ def _aggregate(rows: list[dict]) -> list[dict]:
         key = (row["family"], row["n"], row["L"], row["method"], row["policy"], row["eps"])
         groups.setdefault(key, []).append(row)
     out = []
-    numeric = ("wall_time", "scalar_multiplications", "component_updates",
-               "dequeues", "residual", "feasible", "verify_multiplications")
+    numeric = SWEEP_COLUMNS[7:]
     for key, members in groups.items():
         family, n, L, method, policy, eps = key
         agg = {

@@ -95,26 +95,23 @@ class _ScalarDraws:
 GRAPH_TAGS = ("ba", "nws", "hk")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RandomGraph:
-    """Undirected graph as a sorted tuple of (u, v) edges with u < v."""
+    """Undirected graph: ``edges`` is a read-only (E, 2) int64 array of
+    (u, v) rows with u < v, sorted lexicographically.  Graphs compare by
+    identity; compare ``edges`` with ``np.array_equal``."""
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
     tag: str
     seed: object
-    params: dict
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=int)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return np.bincount(self.edges.ravel(), minlength=self.n)
 
 
 def gen_graph(tag: str, n: int, seed, **params) -> RandomGraph:
@@ -137,22 +134,20 @@ def gen_graph(tag: str, n: int, seed, **params) -> RandomGraph:
         m = int(params.pop("m", 5))
         _no_extra(params, tag)
         edges = _ba_edges(n, m, draws)
-        used = {"m": m}
     elif key == "nws":
         k = int(params.pop("k", 2))
         p = float(params.pop("p", 3.0 / n if n else 0.0))
         _no_extra(params, tag)
         edges = _nws_edges(n, k, p, draws)
-        used = {"k": k, "p": p}
     elif key == "hk":
         m = int(params.pop("m", 4))
         p = float(params.pop("p", 0.25))
         _no_extra(params, tag)
         edges = _hk_edges(n, m, p, draws)
-        used = {"m": m, "p": p}
     else:
         raise ValueError(f"unknown graph family {tag!r}; expected one of {GRAPH_TAGS}")
-    return RandomGraph(n=n, edges=tuple(edges), tag=key, seed=seed, params=used)
+    edges.setflags(write=False)
+    return RandomGraph(n=n, edges=edges, tag=key, seed=seed)
 
 
 def _no_extra(params: dict, tag: str) -> None:
@@ -177,7 +172,7 @@ def _ba_edges(n, m, draws):
         targets = sorted(chosen)
     lo, hi = np.array(linked, dtype=np.int64), np.repeat(np.arange(m, n, dtype=np.int64), m)
     order = np.lexsort((hi, lo))
-    return list(zip(lo[order].tolist(), hi[order].tolist()))
+    return np.column_stack((lo[order], hi[order]))
 
 
 def _nws_edges(n, k, p, draws):
@@ -204,7 +199,7 @@ def _nws_edges(n, k, p, draws):
             edge_set.add((min(u, w), max(u, w)))
             degree[u] += 1
             degree[w] += 1
-    return sorted(edge_set)
+    return np.array(sorted(edge_set), dtype=np.int64).reshape(-1, 2)
 
 
 def _hk_edges(n, m, p, draws):
@@ -266,7 +261,7 @@ def _hk_edges(n, m, p, draws):
             connect(source, target)
             count += 1
         repeated.extend([source] * m)
-    return sorted(edge_set)
+    return np.array(sorted(edge_set), dtype=np.int64).reshape(-1, 2)
 
 
 # -- random linear problems ---------------------------------------------------
@@ -291,7 +286,7 @@ def random_linear_problem(
     pieces = []
     for ell, graph in enumerate(graphs):
         rng = _rng((seed, ell))
-        u, v = np.array(graph.edges, dtype=np.int64).reshape(-1, 2).T
+        u, v = graph.edges.T
         row, col = np.concatenate((u, v)), np.concatenate((v, u))
         order = np.lexsort((col, row))  # row-major, so each draw lands on a fixed entry
         vals = rng.uniform(0.0, max_coeff, size=order.size)
@@ -311,36 +306,24 @@ def random_linear_problem(
     return LinearGlbProblem(pieces, U=np.full(n, float(cap)), meta=meta)
 
 
-def rescale_pieces(p: LinearGlbProblem, factor: float) -> LinearGlbProblem:
-    """Multiply every matrix entry by ``factor`` (offsets and cap untouched)."""
-    pieces = [(A * factor, b) for A, b in p.pieces]
-    meta = dict(p.meta)
-    meta.setdefault("params", {})
-    return LinearGlbProblem(pieces, U=p.U, a=p.a, meta=meta)
-
-
 def rescale_to_gamma(p: LinearGlbProblem, gamma_max: float) -> LinearGlbProblem:
-    """Shrink the matrices so the plain contraction rate is at most ``gamma_max``."""
+    """Shrink the matrices so the plain contraction rate is at most ``gamma_max``
+    (offsets and cap untouched)."""
     gamma, _ = contraction_rates(p)
     if gamma <= gamma_max or gamma == 0.0:
         return p
-    return rescale_pieces(p, gamma_max / gamma)
+    factor = gamma_max / gamma
+    meta = dict(p.meta)
+    meta.setdefault("params", {})
+    return LinearGlbProblem([(A * factor, b) for A, b in p.pieces], U=p.U, a=p.a, meta=meta)
 
 
-def dominant_diagonal_problem(
-    n: int,
-    L: int,
-    gamma: float,
-    delta: float,
-    seed: int,
-    *,
-    max_offset: float = 1.0,
-    cap: float | None = None,
-) -> LinearGlbProblem:
+def dominant_diagonal_problem(n: int, L: int, gamma: float, delta: float, seed: int) -> LinearGlbProblem:
     """Instance whose rows have diagonal ``gamma * (1 - delta/2)`` and up to
     two off-diagonal entries summing to ``0.4 * delta * gamma``: the realized
     dominance gap is about ``0.42 * delta``, safely inside any target interval
-    the caller picked ``delta`` from."""
+    the caller picked ``delta`` from.  Offsets are uniform on [0.1, 1] and
+    the cap is ``10 / (1 - gamma) + 10``."""
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
     if not 0.0 < delta < 1.0:
@@ -357,17 +340,17 @@ def dominant_diagonal_problem(
             rows.append(i)
             cols.append(i)
             vals.append(diag_value)
-            others = rng.choice([j for j in range(n) if j != i], size=min(2, n - 1), replace=False)
+            others = rng.choice(n - 1, size=min(2, n - 1), replace=False)
+            others += others >= i  # skip the diagonal
             weights = rng.uniform(0.2, 1.0, size=len(others))
             weights *= off_total / weights.sum()
             for j, w in zip(others, weights):
                 rows.append(i)
                 cols.append(int(j))
                 vals.append(float(w))
-        b = rng.uniform(0.1, max_offset, size=n)
+        b = rng.uniform(0.1, 1.0, size=n)
         pieces.append((sparse.coo_array((vals, (rows, cols)), shape=(n, n)), b))
-    if cap is None:
-        cap = 10.0 * max_offset / (1.0 - gamma) + 10.0
+    cap = 10.0 / (1.0 - gamma) + 10.0
     meta = {
         "generator": "dominant_diagonal",
         "seed": seed,
@@ -402,6 +385,9 @@ class SpeedPlanSpec:
         k = np.asarray(self.curvature, dtype=float)
         if k.shape != (self.samples,):
             raise ValueError(f"curvature must have shape ({self.samples},), got {k.shape}")
+        if not np.all(np.isfinite(k)):
+            i = int(np.argmin(np.isfinite(k)))
+            raise ValueError(f"curvature must be finite, got curvature[{i}] = {float(k[i])!r}")
         object.__setattr__(self, "curvature", k)
 
     @property
@@ -424,15 +410,13 @@ def speed_planning_problem(spec: SpeedPlanSpec) -> LinearGlbProblem:
     U[n - 1] = 0.0
 
     # backward piece: w_i <= h*A_T + w_{i-1}; boundary row encodes the cap
-    rows_b = list(range(1, n))
-    cols_b = list(range(0, n - 1))
-    back = sparse.coo_array((np.ones(n - 1), (rows_b, cols_b)), shape=(n, n))
+    rows_b = np.arange(1, n)
+    back = sparse.coo_array((np.ones(n - 1), (rows_b, rows_b - 1)), shape=(n, n))
     b_back = np.full(n, h_at)
     b_back[0] = U[0]
     # forward piece: w_i <= h*A_T + w_{i+1}
-    rows_f = list(range(0, n - 1))
-    cols_f = list(range(1, n))
-    fwd = sparse.coo_array((np.ones(n - 1), (rows_f, cols_f)), shape=(n, n))
+    rows_f = np.arange(0, n - 1)
+    fwd = sparse.coo_array((np.ones(n - 1), (rows_f, rows_f + 1)), shape=(n, n))
     b_fwd = np.full(n, h_at)
     b_fwd[n - 1] = U[n - 1]
 
@@ -469,16 +453,22 @@ def maneuver_time(w, h: float) -> float:
 
 def load_curvature_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a two-column (arc length, curvature) CSV; rows that do not parse
-    as two floats (headers, comments) are skipped."""
+    as two floats (headers, comments) are skipped, and a non-finite value is
+    an error naming its line."""
     s_vals, k_vals = [], []
     with open(path, newline="", encoding="utf-8") as fh:
-        for record in csv.reader(fh):
+        reader = csv.reader(fh)
+        for record in reader:
             if len(record) < 2:
                 continue
             try:
                 s, k = float(record[0]), float(record[1])
             except ValueError:
                 continue
+            if not (math.isfinite(s) and math.isfinite(k)):
+                raise InstanceFormatError(
+                    f"{path}, line {reader.line_num}: non-finite (s, k) = ({s!r}, {k!r})"
+                )
             s_vals.append(s)
             k_vals.append(k)
     if len(s_vals) < 2:
@@ -756,8 +746,9 @@ def save_instance(p: LinearGlbProblem, path) -> None:
     """Write the JSON instance document; floats round-trip bit-for-bit.
 
     The document is streamed in exactly the layout of ``json.dump(doc, fh,
-    indent=1)`` plus a final newline: one scalar per line, triplets
-    row-major, floats by ``repr``.  Triplets are formatted and written
+    indent=1)`` plus a final newline: one scalar per line, triplets in the
+    canonical CSR order each piece is stored in (row-major, columns
+    ascending), floats by ``repr``.  Triplets are formatted and written
     ``_CHUNK`` at a time, so no per-entry Python objects outlive a chunk.
     """
     # encoded before the file is opened, so a meta json cannot encode leaves
@@ -768,14 +759,13 @@ def save_instance(p: LinearGlbProblem, path) -> None:
         fh.write('{\n "n": %d,\n "L": %d,\n "pieces": [' % (p.n, p.L))
         for ell, (A, b) in enumerate(p.pieces):
             fh.write(',\n  {\n   "A": [' if ell else '\n  {\n   "A": [')
-            coo = A.tocoo()
-            order = np.lexsort((coo.col, coo.row))
-            rows, cols, vals = coo.row[order], coo.col[order], coo.data[order]
-            for start in range(0, order.size, _CHUNK):
+            coo = A.tocoo()  # row-major: pieces are canonical CSR
+            rows, cols, vals = coo.row, coo.col, coo.data
+            for start in range(0, vals.size, _CHUNK):
                 chunk = slice(start, start + _CHUNK)
                 triplets = zip(rows[chunk].tolist(), cols[chunk].tolist(), vals[chunk].tolist())
                 fh.write(("," if start else "") + ",".join(map(_TRIPLET.__mod__, triplets)))
-            fh.write("\n   ],\n" if order.size else "],\n")
+            fh.write("\n   ],\n" if vals.size else "],\n")
             fh.write('   "b": ' + _json_list(b.tolist(), 3) + "\n  }")
         fh.write("\n ],\n" if p.L else "],\n")
         fh.write(' "U": ' + _json_list(p.U.tolist(), 1) + ",\n")

@@ -60,7 +60,9 @@ class LinearGlbProblem:
         matrix, ``b`` a nonnegative length-n vector.  Rows whose diagonal
         entry is >= 1 encode constraints weaker than the cap; they are
         replaced by the row ``x_i <= U_i`` at construction and a
-        :class:`RedundantRowWarning` is emitted.
+        :class:`RedundantRowWarning` is emitted.  Each stored ``A`` is a
+        read-only CSR array in canonical form (sorted column indices, no
+        duplicates, no explicit zeros), so readers may rely on its order.
     U : array
         Nonnegative cap vector; its length fixes the dimension.
     a : array, optional
@@ -111,9 +113,7 @@ class LinearGlbProblem:
                 )
                 coo = A.tocoo()
                 keep = ~np.isin(coo.row, bad)
-                A = sparse.csr_array(
-                    sparse.coo_array((coo.data[keep], (coo.row[keep], coo.col[keep])), shape=(n, n))
-                )
+                A = _as_csr((coo.data[keep], (coo.row[keep], coo.col[keep])), n, ell)
                 b[bad] = U[bad]
             # rows with a diagonal >= 1 were just dropped; what remains is 0 < d < 1
             diagonal_free = diagonal_free and not np.any((0.0 < diag) & (diag < 1.0))
@@ -488,9 +488,8 @@ def write_lp(p: LinearGlbProblem, path) -> None:
     C = form.C
     for r, name in enumerate(form.row_names):
         lo, hi = C.indptr[r], C.indptr[r + 1]
-        terms = sorted(zip(C.indices[lo:hi].tolist(), C.data[lo:hi].tolist()))
         parts = []
-        for j, v in terms:
+        for j, v in zip(C.indices[lo:hi].tolist(), C.data[lo:hi].tolist()):
             var = f"x{j + 1}"
             coef = "" if v in (1.0, -1.0) else _fmt(abs(v)) + " "
             if not parts:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from glbopt import (
     HjbGridSpec,
@@ -22,6 +23,7 @@ from glbopt import (
     maneuver_time,
     manipulator_problem,
     dominance_gap_limit,
+    precondition,
     random_linear_problem,
     reference_solve,
     rescale_to_gamma,
@@ -29,6 +31,7 @@ from glbopt import (
     selective_update_linear,
     speed_plan_spec_from_csv,
     speed_planning_problem,
+    to_lp_form,
 )
 from glbopt.bench import SweepConfig, make_instance
 from glbopt.instances import _ScalarDraws
@@ -38,7 +41,7 @@ class TestGraphGenerators:
     def test_ba_forced_attachment_at_minimum_size(self):
         g = gen_graph("ba", 6, seed=1)  # m defaults to 5
         assert g.edge_count == 5
-        assert sorted(g.edges) == [(i, 5) for i in range(5)]
+        assert g.edges.tolist() == [[i, 5] for i in range(5)]
 
     def test_ba_edge_count_is_deterministic(self):
         g = gen_graph("ba", 200, seed=3)
@@ -62,13 +65,20 @@ class TestGraphGenerators:
         a = gen_graph("hk", 60, seed=5)
         b = gen_graph("hk", 60, seed=5)
         c = gen_graph("hk", 60, seed=6)
-        assert a.edges == b.edges
-        assert a.edges != c.edges
+        assert np.array_equal(a.edges, b.edges)
+        assert not np.array_equal(a.edges, c.edges)
 
     def test_tuple_seeds_are_valid(self):
         a = gen_graph("ba", 30, seed=(9, 0), m=2)
         b = gen_graph("ba", 30, seed=(9, 1), m=2)
-        assert a.edges != b.edges
+        assert not np.array_equal(a.edges, b.edges)
+
+    @pytest.mark.parametrize("tag", ["ba", "nws", "hk"])
+    def test_edges_are_a_read_only_int64_array(self, tag):
+        edges = gen_graph(tag, 30, seed=1).edges
+        assert edges.dtype == np.int64 and edges.shape[1] == 2
+        assert np.all(edges[:, 0] < edges[:, 1])
+        assert not edges.flags.writeable
 
     def test_attachment_larger_than_graph_is_an_error(self):
         with pytest.raises(ValueError, match="Barabasi-Albert"):
@@ -117,7 +127,7 @@ class TestGraphGenerators:
                 expected = _reference_nws(n, 2, params.get("p", 3.0 / n), rng)
             else:
                 expected = _reference_hk(n, 4, params.get("p", 0.25), rng)
-            assert gen_graph(tag, n, seed, **params).edges == tuple(sorted(expected)), seed
+            assert gen_graph(tag, n, seed, **params).edges.tolist() == sorted(map(list, expected)), seed
 
 
 # The generators as first written, one scalar Generator call per draw: the
@@ -367,6 +377,11 @@ class TestSpeedPlanning:
             SpeedPlanSpec(4.0, 5, np.zeros(5), v_max=-1.0, acc_tangential=1.0, acc_normal=1.0)
         with pytest.raises(ValueError):
             SpeedPlanSpec(4.0, 5, np.zeros(4), v_max=1.0, acc_tangential=1.0, acc_normal=1.0)
+
+    def test_non_finite_curvature_rejected(self):
+        curvature = np.array([0.0, 0.5, np.nan, 0.5, 0.0])
+        with pytest.raises(ValueError, match=r"curvature\[2\] = nan"):
+            SpeedPlanSpec(4.0, 5, curvature, v_max=1.0, acc_tangential=1.0, acc_normal=1.0)
 
 
 class TestManeuverTime:
@@ -748,6 +763,49 @@ class TestInstanceFiles:
         assert back.meta["seed"] == 7
 
 
+def _loaded_unsorted(tmp_path):
+    path = tmp_path / "unsorted.json"
+    triplets = [[2, 1, 0.1], [0, 2, 0.2], [2, 0, 0.3], [0, 1, 0.4], [2, 1, 0.1]]
+    doc = {"n": 3, "pieces": [{"A": triplets, "b": [0.0] * 3}], "U": [1.0] * 3}
+    path.write_text(json.dumps(doc))
+    return load_instance(path)
+
+
+def _redundant_rows():
+    rows, cols = [2, 1, 1, 0, 2, 0], [0, 1, 2, 1, 2, 2]  # rows 1 and 2 hold a diagonal >= 1
+    A = sparse.coo_array(([0.3, 1.5, 0.2, 0.4, 1.0, 0.1], (rows, cols)), shape=(3, 3))
+    with pytest.warns(RedundantRowWarning):
+        return LinearGlbProblem([(A, np.zeros(3))], U=np.ones(3))
+
+
+def _pieces(p):
+    return [A for A, _ in p.pieces]
+
+
+_CANONICAL_CASES = {
+    **{family: lambda tmp, f=family: _pieces(make_instance(SweepConfig(family=f), 300, 3))
+       for family in ("ba", "nws", "hk", "speedplan", "hjb")},
+    "manipulator": lambda tmp: _pieces(manipulator_problem(
+        *np.random.default_rng(5).uniform(0.0, 1.0, size=(4, 2, 29)), np.ones(30))),
+    "dominant-diagonal": lambda tmp: _pieces(dominant_diagonal_problem(300, 2, 0.6, 0.2, seed=3)),
+    "load_instance": lambda tmp: _pieces(_loaded_unsorted(tmp)),
+    "precondition": lambda tmp: _pieces(precondition(make_instance(SweepConfig(family="hjb"), 300, 3))),
+    "redundant-row": lambda tmp: _pieces(_redundant_rows()),
+    "to_lp_form": lambda tmp: [to_lp_form(make_instance(SweepConfig(family="hjb"), 300, 3)).C],
+}
+
+
+class TestCanonicalPieces:
+    # save_instance and write_lp emit entries in stored order without sorting
+    @pytest.mark.parametrize("case", list(_CANONICAL_CASES))
+    def test_stored_matrices_are_canonical_csr(self, case, tmp_path):
+        for A in _CANONICAL_CASES[case](tmp_path):
+            assert A.has_canonical_format
+            coo = A.tocoo()
+            assert np.array_equal(np.lexsort((coo.col, coo.row)), np.arange(coo.nnz))
+            assert np.all(coo.data != 0.0)
+
+
 class TestCurvatureCsv:
     def test_header_rows_are_skipped_and_resampled(self, tmp_path):
         path = tmp_path / "curv.csv"
@@ -769,4 +827,11 @@ class TestCurvatureCsv:
         path = tmp_path / "short.csv"
         path.write_text("s,k\n1.0,2.0\n")
         with pytest.raises(InstanceFormatError, match="at least two"):
+            load_curvature_csv(path)
+
+    @pytest.mark.parametrize("row", ["nan,0.1", "1.0,nan", "1.0,inf"])
+    def test_non_finite_value_rejected_with_line(self, row, tmp_path):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"s,k\n0.0,0.0\n{row}\n2.0,0.0\n")
+        with pytest.raises(InstanceFormatError, match="line 3: non-finite"):
             load_curvature_csv(path)
