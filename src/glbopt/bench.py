@@ -185,12 +185,14 @@ def run_sweep(config: SweepConfig, *, log=None) -> list[dict]:
                     except Exception as exc:  # recorded in-row, sweep continues
                         elapsed = time.perf_counter() - t0
                         log(f"run failed ({method}/{policy}, n={n}, seed={seed}): {exc}")
-                        row.update(dict.fromkeys(_COUNTERS, 0))
-                        row.update(wall_time=elapsed, residual=float("nan"), feasible=0)
+                        row.update(
+                            dict.fromkeys(_COUNTERS, 0),
+                            wall_time=elapsed, residual=float("nan"), feasible=0,
+                        )
                         rows.append(row)
                         continue
-                    row.update({col: getattr(report, col) for col in _COUNTERS})
                     row.update(
+                        {col: getattr(report, col) for col in _COUNTERS},
                         wall_time=report.wall_time, residual=report.residual_inf,
                         feasible=int(report.feasible),
                     )
