@@ -362,6 +362,28 @@ class TestSelectiveLinear:
         assert exact_residual(p, report.x) <= 1e-9
         assert report.verify_multiplications == 2 * p.total_nnz
 
+    @pytest.mark.parametrize("seed, policy, expected", [
+        (4, "fifo", ("10aab0316b8a9d759c262fee790481d767953bbe04a40e5c90507bc1e41e0f45",
+                     298675, 4111, 4111, 399600, "0x1.0c00000000000p-30")),
+        (5, "fifo", ("69a4d0a0f50d4fb1d692db952c920ef04c20f5bed0eeed6f03e71de765b6dec1",
+                     288740, 3714, 3714, 399600, "0x1.0400000000000p-30")),
+        (2, "variation", ("0999027596b2a43c051014f9b05042fcaf7ef991e5862785e81b13f4e382a799",
+                          291271, 3802, 3802, 399600, "0x1.0c00000000000p-30")),
+    ])
+    def test_resumed_runs_are_pinned(self, seed, policy, expected):
+        # each run's first from-scratch check fails, so it resumes from the
+        # fresh state: pin the resumed trajectory bit for bit
+        p = make_instance(SweepConfig(family="ba"), 5000, seed)
+        report = solve_with_method(p, "selective-plain", policy=policy, eps=1e-9)
+        assert (
+            hashlib.sha256(report.x.tobytes()).hexdigest(),
+            report.scalar_multiplications,
+            report.component_updates,
+            report.dequeues,
+            report.verify_multiplications,
+            report.residual_inf.hex(),
+        ) == expected
+
     def test_stop_rule_checks_once_when_kept_state_is_exact(self, two_var):
         report = selective_update_linear(two_var, eps=1e-9)
         assert report.verify_multiplications == two_var.total_nnz
