@@ -377,11 +377,10 @@ class SpeedPlanSpec:
     def __post_init__(self):
         if self.samples < 2:
             raise ValueError(f"need at least 2 samples, got {self.samples}")
-        if self.path_length <= 0:
-            raise ValueError(f"path length must be positive, got {self.path_length}")
-        for name in ("v_max", "acc_tangential", "acc_normal"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("path_length", "v_max", "acc_tangential", "acc_normal"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         k = np.asarray(self.curvature, dtype=float)
         if k.shape != (self.samples,):
             raise ValueError(f"curvature must have shape ({self.samples},), got {k.shape}")

@@ -304,13 +304,14 @@ def fixed_point_solve(
 ) -> SolveReport:
     """Full-vector fixed-point iteration ``x <- g(x)`` down to tolerance ``eps``.
 
-    Stops at the first sweep whose pre-update residual ``||x - g(x)||_inf``
-    is at most ``eps`` and returns the post-update iterate.  When ``max_iter``
-    is omitted it is derived from the declared contraction rate; with no such
-    rate the caller must supply a budget.  Exhausting the budget raises
-    :class:`NonConvergenceError` carrying the last iterate.
+    From ``x0`` (the cap when None), stops at the first sweep whose pre-update
+    residual ``||x - g(x)||_inf`` is at most ``eps`` and returns the post-update
+    iterate.  When ``max_iter`` is omitted it is derived from the declared
+    contraction rate; with no such rate the caller must supply a budget.
+    Exhausting the budget raises :class:`NonConvergenceError` with the last iterate.
     """
-    return _full_sweeps(g.eval, g.n, x0, eps, max_iter, counter, g.contraction_rate, g.lower_bound)
+    return _full_sweeps(g.eval, g.n, g.cap if x0 is None else x0, eps, max_iter, counter,
+                        g.contraction_rate, g.lower_bound)
 
 
 def selective_update_solve(

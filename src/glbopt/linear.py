@@ -10,6 +10,8 @@ program.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import math
 import time
 import warnings
@@ -48,6 +50,18 @@ def _as_csr(A_like, n: int, ell: int) -> sparse.csr_array:
                 f"negative entry {coo.data[k]!r}"
             )
     return A
+
+
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector if it runs; restore its state on exit."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class LinearGlbProblem:
@@ -191,34 +205,38 @@ class LinearGlbProblem:
 
         Every per-column entry is a tuple of ints and floats, which the
         garbage collector stops tracking after it has seen them, so later
-        full collections do not walk the O(nnz) tables again.  Every index is
-        taken from one object array of the ints ``0..n-1``, so the tables hold
-        n index ints instead of one per stored entry.
+        full collections do not walk the O(nnz) tables again.  The build runs
+        with the collector paused: it makes only such acyclic tuples, so the
+        collections its allocations would trigger rescan the growing tables
+        and free nothing.  Every index is taken from one object array of the
+        ints ``0..n-1``, so the tables hold n index ints instead of one per
+        stored entry.
         """
         if self._tables is None:
-            n = self.n
-            index = np.array(range(n), dtype=object)
-            by_piece = []
-            pattern = sparse.csc_array((n, n))
-            col_nnz = np.zeros(n, dtype=np.int64)
-            for ell, (A, _) in enumerate(self._pieces):
-                csc = A.tocsc()
-                pairs = tuple(zip(index[csc.indices].tolist(), csc.data.tolist()))
-                by_piece.append((ell, csc.indptr.tolist(), pairs))
-                pattern = pattern + sparse.csc_array(
-                    (np.ones(csc.nnz), csc.indices, csc.indptr), shape=(n, n)
-                )
-                col_nnz += np.diff(csc.indptr)
-            cols = [
-                tuple((ell, pairs[ptr[i]:ptr[i + 1]])
-                      for ell, ptr, pairs in by_piece if ptr[i] < ptr[i + 1])
-                for i in range(n)
-            ]
-            pattern.sort_indices()
-            rows = tuple(index[pattern.indices].tolist())
-            ptr = pattern.indptr.tolist()
-            touched = [rows[ptr[i]:ptr[i + 1]] for i in range(n)]
-            self._tables = (cols, touched, col_nnz.tolist())
+            with _collector_paused():
+                n = self.n
+                index = np.array(range(n), dtype=object)
+                by_piece = []
+                pattern = sparse.csc_array((n, n))
+                col_nnz = np.zeros(n, dtype=np.int64)
+                for ell, (A, _) in enumerate(self._pieces):
+                    csc = A.tocsc()
+                    pairs = tuple(zip(index[csc.indices].tolist(), csc.data.tolist()))
+                    by_piece.append((ell, csc.indptr.tolist(), pairs))
+                    pattern = pattern + sparse.csc_array(
+                        (np.ones(csc.nnz), csc.indices, csc.indptr), shape=(n, n)
+                    )
+                    col_nnz += np.diff(csc.indptr)
+                cols = [
+                    tuple((ell, pairs[ptr[i]:ptr[i + 1]])
+                          for ell, ptr, pairs in by_piece if ptr[i] < ptr[i + 1])
+                    for i in range(n)
+                ]
+                pattern.sort_indices()
+                rows = tuple(index[pattern.indices].tolist())
+                ptr = pattern.indptr.tolist()
+                touched = [rows[ptr[i]:ptr[i + 1]] for i in range(n)]
+                self._tables = (cols, touched, col_nnz.tolist())
         return self._tables
 
 
@@ -307,9 +325,12 @@ def selective_update_linear(
 ) -> SolveReport:
     """Selective update on the plain capped map with incremental residuals.
 
-    Maintains ``eta_l = A_l x + b_l`` across updates: changing ``x_i`` only
-    adjusts the eta entries in column i's sparsity, one counted multiplication
-    each.  ``x0`` defaults to the cap and must dominate its own image.
+    Maintains ``eta_l = A_l x + b_l`` and ``g = min(U, min_l eta_l)`` across
+    updates.  Changing ``x_i`` adjusts the eta and ``g`` entries in column
+    i's sparsity, one counted multiplication each, then refreshes each
+    touched row's residual as ``x_j - g_j``: an update's work is column i's
+    entries plus its touched rows.  ``x0`` defaults to the cap and must
+    dominate its own image.
 
     The run stops only on a from-scratch check: when the queue runs empty,
     the etas and residuals are recomputed from ``x``.  If the fresh residual
@@ -348,10 +369,10 @@ def selective_update_preconditioned(
 
 
 def _fresh_state(p, x_arr):
-    """The etas ``A_l x + b_l`` and residual ``x - g(x)``, computed from scratch."""
+    """The etas ``A_l x + b_l``, ``g(x)`` and residual ``x - g(x)``, from scratch."""
     etas = [A @ x_arr + b for A, b in p.pieces]
-    gx = np.minimum.reduce(etas) if p.L else p.U.copy()
-    return etas, x_arr - np.minimum(gx, p.U)
+    gx = np.minimum(np.minimum.reduce(etas), p.U) if p.L else p.U.copy()
+    return etas, gx, x_arr - gx
 
 
 def _selective_run(p, rate, x0, eps, policy, monitor, max_iter):
@@ -359,7 +380,7 @@ def _selective_run(p, rate, x0, eps, policy, monitor, max_iter):
     if empty is not None:
         return empty
     t0 = time.perf_counter()
-    etas_np, xi_arr = _fresh_state(p, x_arr)
+    etas_np, g_arr, xi_arr = _fresh_state(p, x_arr)
     muls = p.total_nnz
     _check_start(xi_arr, eps)
 
@@ -367,7 +388,7 @@ def _selective_run(p, rate, x0, eps, policy, monitor, max_iter):
     x = x_arr.tolist()
     xi = xi_arr.tolist()
     etas = [e.tolist() for e in etas_np]
-    u_list = p.U.tolist()
+    g = g_arr.tolist()  # min(U, min_l eta_l); an eta only falls (w * v >= 0), g follows it
 
     queue = make_queue(policy)
     enqueue = queue.enqueue
@@ -386,13 +407,14 @@ def _selective_run(p, rate, x0, eps, policy, monitor, max_iter):
         try:
             i = dequeue()
         except QueueUnderflow:
-            etas_np, xi_arr = _fresh_state(p, np.array(x))
+            etas_np, g_arr, xi_arr = _fresh_state(p, np.array(x))
             verify_muls += p.total_nnz
             if xi_arr.max() <= eps:
                 break
             # rounding in the kept etas hid a residual above eps: resume from scratch
             xi = xi_arr.tolist()
             etas = [e.tolist() for e in etas_np]
+            g = g_arr.tolist()
             for j in np.flatnonzero(xi_arr > eps).tolist():
                 enqueue(j, x[j], xi[j])
             continue
@@ -408,15 +430,13 @@ def _selective_run(p, rate, x0, eps, policy, monitor, max_iter):
         for ell, pairs in cols[i]:
             eta = etas[ell]
             for j, w in pairs:
-                eta[j] -= w * v
+                t = eta[j] - w * v
+                eta[j] = t
+                if t < g[j]:
+                    g[j] = t
         muls += col_nnz[i]
         for j in touched[i]:
-            m = u_list[j]
-            for eta in etas:
-                t = eta[j]
-                if t < m:
-                    m = t
-            r = x[j] - m
+            r = x[j] - g[j]
             xi[j] = r
             if r > eps:
                 enqueue(j, x[j], r)

@@ -378,6 +378,15 @@ class TestSpeedPlanning:
         with pytest.raises(ValueError):
             SpeedPlanSpec(4.0, 5, np.zeros(4), v_max=1.0, acc_tangential=1.0, acc_normal=1.0)
 
+    @pytest.mark.parametrize("field", ["path_length", "v_max", "acc_tangential", "acc_normal"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scalar_rejected(self, field, value):
+        kwargs = dict(path_length=4.0, samples=5, curvature=np.zeros(5),
+                      v_max=1.0, acc_tangential=1.0, acc_normal=1.0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            SpeedPlanSpec(**kwargs)
+
     def test_non_finite_curvature_rejected(self):
         curvature = np.array([0.0, 0.5, np.nan, 0.5, 0.0])
         with pytest.raises(ValueError, match=r"curvature\[2\] = nan"):

@@ -104,6 +104,13 @@ class TestFixedPointSolve:
         assert report.residual_inf <= 1e-10
         assert report.feasible
 
+    def test_missing_start_point_means_the_cap(self):
+        g = two_var_map()
+        from_cap = fixed_point_solve(g, g.cap, 1e-10)
+        report = fixed_point_solve(g, None, 1e-10)
+        assert np.array_equal(report.x, from_cap.x)
+        assert report.iterations == from_cap.iterations
+
     def test_contraction_sweep_bound(self):
         g = two_var_map()
         eps = 1e-10

@@ -156,6 +156,21 @@ def table_case(name):
     }[name]
 
 
+class _RecordingPiece:
+    """A stored piece that records whether the collector ran when the table
+    build asked for its CSC form, and fails that request when it has no matrix."""
+
+    def __init__(self, A):
+        self.A = A
+        self.collector_enabled = None
+
+    def tocsc(self):
+        self.collector_enabled = gc.isenabled()
+        if self.A is None:
+            raise RuntimeError("no CSC form")
+        return self.A.tocsc()
+
+
 class TestSelectiveTables:
     @pytest.mark.parametrize("name", TABLE_FAMILIES + [
         "dominant_diagonal", "dominant_diagonal_hat", "two_var", "all_zero_piece", "no_pieces",
@@ -182,6 +197,32 @@ class TestSelectiveTables:
         inner += touched + col_nnz
         assert len(inner) > p.total_nnz
         assert not any(gc.is_tracked(obj) for obj in inner)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_build_pauses_the_collector_and_restores_its_state(self, enabled):
+        p = make_instance(SweepConfig(family="ba"), 300, seed=3)
+        piece = _RecordingPiece(p.pieces[0][0])
+        p._pieces = ((piece, p.pieces[0][1]),) + p.pieces[1:]
+        (gc.enable if enabled else gc.disable)()
+        try:
+            p._selective_tables()
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert piece.collector_enabled is False
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_failed_build_restores_the_collector_state(self, enabled):
+        p = make_instance(SweepConfig(family="ba"), 300, seed=3)
+        p._pieces = ((_RecordingPiece(None), p.pieces[0][1]),)
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with pytest.raises(RuntimeError, match="no CSC form"):
+                p._selective_tables()
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert p._tables is None
 
     def test_indices_share_one_int_per_index(self):
         p = make_instance(SweepConfig(family="ba"), 1000, seed=3)
