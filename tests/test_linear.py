@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import weakref
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -198,31 +199,21 @@ class TestSelectiveTables:
         assert len(inner) > p.total_nnz
         assert not any(gc.is_tracked(obj) for obj in inner)
 
+    @pytest.mark.parametrize("fails", [False, True])
     @pytest.mark.parametrize("enabled", [True, False])
-    def test_build_pauses_the_collector_and_restores_its_state(self, enabled):
+    def test_build_pauses_the_collector_and_restores_its_state(self, enabled, fails):
         p = make_instance(SweepConfig(family="ba"), 300, seed=3)
-        piece = _RecordingPiece(p.pieces[0][0])
+        piece = _RecordingPiece(None if fails else p.pieces[0][0])
         p._pieces = ((piece, p.pieces[0][1]),) + p.pieces[1:]
         (gc.enable if enabled else gc.disable)()
         try:
-            p._selective_tables()
-            assert gc.isenabled() is enabled
-        finally:
-            gc.enable()
-        assert piece.collector_enabled is False
-
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_failed_build_restores_the_collector_state(self, enabled):
-        p = make_instance(SweepConfig(family="ba"), 300, seed=3)
-        p._pieces = ((_RecordingPiece(None), p.pieces[0][1]),)
-        (gc.enable if enabled else gc.disable)()
-        try:
-            with pytest.raises(RuntimeError, match="no CSC form"):
+            with pytest.raises(RuntimeError, match="no CSC form") if fails else nullcontext():
                 p._selective_tables()
             assert gc.isenabled() is enabled
         finally:
             gc.enable()
-        assert p._tables is None
+        assert piece.collector_enabled is False
+        assert (p._tables is None) is fails
 
     def test_indices_share_one_int_per_index(self):
         p = make_instance(SweepConfig(family="ba"), 1000, seed=3)
@@ -403,19 +394,29 @@ class TestSelectiveLinear:
         assert exact_residual(p, report.x) <= 1e-9
         assert report.verify_multiplications == 2 * p.total_nnz
 
-    @pytest.mark.parametrize("seed, policy, expected", [
-        (4, "fifo", ("10aab0316b8a9d759c262fee790481d767953bbe04a40e5c90507bc1e41e0f45",
-                     298675, 4111, 4111, 399600, "0x1.0c00000000000p-30")),
-        (5, "fifo", ("69a4d0a0f50d4fb1d692db952c920ef04c20f5bed0eeed6f03e71de765b6dec1",
-                     288740, 3714, 3714, 399600, "0x1.0400000000000p-30")),
-        (2, "variation", ("0999027596b2a43c051014f9b05042fcaf7ef991e5862785e81b13f4e382a799",
-                          291271, 3802, 3802, 399600, "0x1.0c00000000000p-30")),
+    @pytest.mark.parametrize("n, seed, policy, eps, expected", [
+        (5000, 4, "fifo", 1e-9,
+         ("10aab0316b8a9d759c262fee790481d767953bbe04a40e5c90507bc1e41e0f45",
+          298675, 4111, 4111, 399600, "0x1.0c00000000000p-30")),
+        (5000, 5, "fifo", 1e-9,
+         ("69a4d0a0f50d4fb1d692db952c920ef04c20f5bed0eeed6f03e71de765b6dec1",
+          288740, 3714, 3714, 399600, "0x1.0400000000000p-30")),
+        (5000, 2, "variation", 1e-9,
+         ("0999027596b2a43c051014f9b05042fcaf7ef991e5862785e81b13f4e382a799",
+          291271, 3802, 3802, 399600, "0x1.0c00000000000p-30")),
+        # on these two runs the updates after the resume read the rebuilt state
+        (2000, 6, "lifo", 1e-10,
+         ("508a5d32332f797e0d8a5fd97c585801106d9fe121529db76face32d2e402e7d",
+          204567, 5265, 5265, 159600, "0x1.8000000000000p-34")),
+        (500, 7, "fifo", 3e-11,
+         ("ff3e62cd57ff98bd68f03b89dd40eed8f9a4716c2f99f340bfa096c8e2997852",
+          32566, 541, 541, 39600, "0x1.0000000000000p-35")),
     ])
-    def test_resumed_runs_are_pinned(self, seed, policy, expected):
+    def test_resumed_runs_are_pinned(self, n, seed, policy, eps, expected):
         # each run's first from-scratch check fails, so it resumes from the
         # fresh state: pin the resumed trajectory bit for bit
-        p = make_instance(SweepConfig(family="ba"), 5000, seed)
-        report = solve_with_method(p, "selective-plain", policy=policy, eps=1e-9)
+        p = make_instance(SweepConfig(family="ba"), n, seed)
+        report = solve_with_method(p, "selective-plain", policy=policy, eps=eps)
         assert (
             hashlib.sha256(report.x.tobytes()).hexdigest(),
             report.scalar_multiplications,
