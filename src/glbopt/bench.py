@@ -100,7 +100,7 @@ class SweepConfig:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
-        if any(eps <= 0 for eps in self.tolerances):
+        if not all(eps > 0 for eps in self.tolerances):
             raise ValueError("tolerances must be positive")
         for m in self.methods:
             if m not in METHODS:

@@ -99,7 +99,10 @@ class MonotoneMap:
 
     def eval(self, x: np.ndarray) -> np.ndarray:
         if self._eval is not None:
-            return np.asarray(self._eval(x), dtype=float)
+            out = np.asarray(self._eval(x), dtype=float)
+            if out.shape != (self.n,):
+                raise ValueError(f"eval must return shape ({self.n},), got {out.shape}")
+            return out
         x = np.asarray(x, dtype=float)
         return np.array([self.eval_component(i, x) for i in range(self.n)], dtype=float)
 
@@ -162,9 +165,9 @@ def error_bound(delta: float, eps: float) -> float:
     ``delta`` is the width by which the map's stretch ratios avoid 1 (for a
     contraction with rate gamma, ``delta = 1 - gamma``).
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     return eps / delta
 
@@ -172,10 +175,10 @@ def error_bound(delta: float, eps: float) -> float:
 def _start(n: int, x0, eps: float, policy: str | None = None) -> tuple[np.ndarray, SolveReport | None]:
     """Checked float copy of the start point, and the finished report when n == 0.
 
-    Rejects a nonpositive ``eps``, an unknown ``policy`` (when one is given),
-    and a start point of the wrong shape or with non-finite entries.
+    Rejects an ``eps`` that is not > 0 (NaN included), an unknown ``policy``
+    (when one is given), and a start point of the wrong shape or non-finite.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     if policy is not None and policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")

@@ -196,48 +196,45 @@ class LinearGlbProblem:
         return out
 
     def _selective_tables(self):
-        """Per-column update tables for the incremental solver (cached).
+        """The per-column update table of the incremental solver (cached).
 
-        For each column ``i``: ``cols[i]`` holds ``(ell, ((j, A_l[j, i]), ...))``
-        for every piece storing an entry in column i, ``touched[i]`` the sorted
-        rows stored in column i by any piece and ``col_nnz[i]`` the entry
-        count over all pieces.
+        ``cols[i]`` holds one ``(k, j, A_l[j, i], last)`` entry for each
+        stored entry of column i, ordered by row j and then piece l.
+        ``k = l*n + j`` indexes the stacked etas of :func:`_fresh_state`, and
+        ``last`` marks the last entry of row j in the column.
 
-        Every per-column entry is a tuple of ints and floats, which the
-        garbage collector stops tracking after it has seen them, so later
-        full collections do not walk the O(nnz) tables again.  The build runs
-        with the collector paused: it makes only such acyclic tuples, so the
-        collections its allocations would trigger rescan the growing tables
+        Every entry is a tuple of ints, a float and a bool, which the garbage
+        collector stops tracking after it has seen them, so later full
+        collections do not walk the O(nnz) table again.  The build runs with
+        the collector paused: it makes only such acyclic tuples, so the
+        collections its allocations would trigger rescan the growing table
         and free nothing.  Every index is taken from one object array of the
-        ints ``0..n-1``, so the tables hold n index ints instead of one per
-        stored entry.
+        ints ``0..L*n-1``, so the table holds L*n index ints instead of two
+        per stored entry.
         """
         if self._tables is None:
-            with _collector_paused():
-                n = self.n
-                index = np.array(range(n), dtype=object)
-                by_piece = []
-                pattern = sparse.csc_array((n, n))
-                col_nnz = np.zeros(n, dtype=np.int64)
-                for ell, (A, _) in enumerate(self._pieces):
-                    csc = A.tocsc()
-                    pairs = tuple(zip(index[csc.indices].tolist(), csc.data.tolist()))
-                    by_piece.append((ell, csc.indptr.tolist(), pairs))
-                    pattern = pattern + sparse.csc_array(
-                        (np.ones(csc.nnz), csc.indices, csc.indptr), shape=(n, n)
-                    )
-                    col_nnz += np.diff(csc.indptr)
-                cols = [
-                    tuple((ell, pairs[ptr[i]:ptr[i + 1]])
-                          for ell, ptr, pairs in by_piece if ptr[i] < ptr[i + 1])
-                    for i in range(n)
-                ]
-                pattern.sort_indices()
-                rows = tuple(index[pattern.indices].tolist())
-                ptr = pattern.indptr.tolist()
-                touched = [rows[ptr[i]:ptr[i + 1]] for i in range(n)]
-                self._tables = (cols, touched, col_nnz.tolist())
+            self._tables = _update_table(self._pieces, self.n) if self.L else [()] * self.n
         return self._tables
+
+
+@_collector_paused()
+def _update_table(pieces, n):
+    """The table of ``_selective_tables`` (L >= 1); temporaries die before the collector resumes."""
+    L = len(pieces)
+    coos = [A.tocoo() for A, _ in pieces]
+    # row j*L + l holds A_l[j, :], so each CSC column lists its entries by row j, then piece l
+    csc = sparse.csr_array((np.concatenate([c.data for c in coos]), (
+        np.concatenate([c.row * L + ell for ell, c in enumerate(coos)]),
+        np.concatenate([c.col for c in coos]))), shape=(L * n, n)).tocsc()
+    j, ell = np.divmod(csc.indices, L)
+    last = np.append(j[1:] != j[:-1], True)
+    last[csc.indptr[1:] - 1] = True  # a column's last entry ends its row
+    index = np.array(range(L * n), dtype=object)
+    ks, js, last = index[ell * n + j].tolist(), index[j].tolist(), last.tolist()
+    w, ptr = csc.data.tolist(), csc.indptr.tolist()
+    del coos, csc, j, ell, index  # free the arrays before the entries are made
+    entries = tuple(zip(ks, js, w, last))
+    return [entries[ptr[i]:ptr[i + 1]] for i in range(n)]
 
 
 def contraction_rates(p: LinearGlbProblem) -> tuple[float, float]:
@@ -326,11 +323,11 @@ def selective_update_linear(
     """Selective update on the plain capped map with incremental residuals.
 
     Maintains ``eta_l = A_l x + b_l`` and ``g = min(U, min_l eta_l)`` across
-    updates.  Changing ``x_i`` adjusts the eta and ``g`` entries in column
-    i's sparsity, one counted multiplication each, then refreshes each
-    touched row's residual as ``x_j - g_j``: an update's work is column i's
-    entries plus its touched rows.  ``x0`` defaults to the cap and must
-    dominate its own image.
+    updates.  Changing ``x_i`` makes one pass over column i's stored
+    entries, one counted multiplication each: it lowers the entry's eta and
+    ``g_j``, and after row j's last entry refreshes its residual as
+    ``x_j - g_j``.  An update's work is its column's stored entries.  ``x0``
+    defaults to the cap and must dominate its own image.
 
     The run stops only on a from-scratch check: when the queue runs empty,
     the etas and residuals are recomputed from ``x``.  If the fresh residual
@@ -369,25 +366,26 @@ def selective_update_preconditioned(
 
 
 def _fresh_state(p, x_arr):
-    """The etas ``A_l x + b_l``, ``g(x)`` and residual ``x - g(x)``, from scratch."""
-    etas = [A @ x_arr + b for A, b in p.pieces]
-    gx = np.minimum(np.minimum.reduce(etas), p.U) if p.L else p.U.copy()
-    return etas, gx, x_arr - gx
+    """From scratch: the etas ``A_l x + b_l`` stacked in one vector (piece l
+    at ``l*n .. l*n + n - 1``), ``g(x)`` and the residual ``x - g(x)``."""
+    eta = np.concatenate([A @ x_arr + b for A, b in p.pieces] or [np.empty(0)])
+    gx = np.minimum(np.minimum.reduce(eta.reshape(p.L, p.n)), p.U) if p.L else p.U.copy()
+    return eta, gx, x_arr - gx
 
 
 def _selective_run(p, rate, x0, eps, policy, monitor, max_iter):
     x_arr, empty = _start(p.n, p.U if x0 is None else x0, eps, policy)
     if empty is not None:
         return empty
+    cols = p._selective_tables()
     t0 = time.perf_counter()
-    etas_np, g_arr, xi_arr = _fresh_state(p, x_arr)
+    eta_arr, g_arr, xi_arr = _fresh_state(p, x_arr)
     muls = p.total_nnz
     _check_start(xi_arr, eps)
 
-    cols, touched, col_nnz = p._selective_tables()
     x = x_arr.tolist()
     xi = xi_arr.tolist()
-    etas = [e.tolist() for e in etas_np]
+    eta = eta_arr.tolist()
     g = g_arr.tolist()  # min(U, min_l eta_l); an eta only falls (w * v >= 0), g follows it
 
     queue = make_queue(policy)
@@ -407,13 +405,13 @@ def _selective_run(p, rate, x0, eps, policy, monitor, max_iter):
         try:
             i = dequeue()
         except QueueUnderflow:
-            etas_np, g_arr, xi_arr = _fresh_state(p, np.array(x))
+            eta_arr, g_arr, xi_arr = _fresh_state(p, np.array(x))
             verify_muls += p.total_nnz
             if xi_arr.max() <= eps:
                 break
             # rounding in the kept etas hid a residual above eps: resume from scratch
             xi = xi_arr.tolist()
-            etas = [e.tolist() for e in etas_np]
+            eta = eta_arr.tolist()
             g = g_arr.tolist()
             for j in np.flatnonzero(xi_arr > eps).tolist():
                 enqueue(j, x[j], xi[j])
@@ -427,19 +425,17 @@ def _selective_run(p, rate, x0, eps, policy, monitor, max_iter):
         x[i] -= v
         xi[i] = 0.0  # a piece storing A_l[i, i] refreshes it in the loop below
         updates += 1
-        for ell, pairs in cols[i]:
-            eta = etas[ell]
-            for j, w in pairs:
-                t = eta[j] - w * v
-                eta[j] = t
-                if t < g[j]:
-                    g[j] = t
-        muls += col_nnz[i]
-        for j in touched[i]:
-            r = x[j] - g[j]
-            xi[j] = r
-            if r > eps:
-                enqueue(j, x[j], r)
+        for k, j, w, last in cols[i]:
+            t = eta[k] - w * v
+            eta[k] = t
+            if t < g[j]:
+                g[j] = t
+            if last:  # row j's entries are done: refresh its residual
+                r = x[j] - g[j]
+                xi[j] = r
+                if r > eps:
+                    enqueue(j, x[j], r)
+        muls += len(cols[i])
 
     return _report(np.array(x), p.a, t0, eps, policy, rate, residual=max(0.0, max(xi)),
                    muls=muls, updates=updates, dequeues=dequeues, iterations=updates,

@@ -178,6 +178,11 @@ class TestSweep:
         with pytest.raises(ValueError, match="unknown method"):
             SweepConfig(methods=("newton",))
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-6, math.nan])
+    def test_config_rejects_a_tolerance_that_is_not_positive(self, eps):
+        with pytest.raises(ValueError, match="tolerances must be positive"):
+            SweepConfig(tolerances=(1e-6, eps))
+
 
 @pytest.fixture
 def two_var_file(tmp_path, two_var):
@@ -238,6 +243,11 @@ class TestCli:
 
     def test_missing_file_exits_one(self, capsys):
         assert main(["solve", "/nonexistent/path.json"]) == 1
+
+    @pytest.mark.parametrize("method", bench.METHODS)
+    def test_solve_nan_tolerance_exits_one(self, method, two_var_file, capsys):
+        assert main(["solve", two_var_file, "--method", method, "--eps", "nan"]) == 1
+        assert "eps must be positive, got nan" in capsys.readouterr().err
 
     def test_usage_error_exits_one(self, capsys):
         assert main(["solve"]) == 1  # missing instance argument

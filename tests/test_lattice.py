@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -96,6 +97,12 @@ class TestErrorBound:
         with pytest.raises(ValueError):
             error_bound(0.5, 0.0)
 
+    def test_nan_is_not_positive(self):
+        with pytest.raises(ValueError, match="eps must be positive, got nan"):
+            error_bound(0.5, math.nan)
+        with pytest.raises(ValueError, match="delta must be positive, got nan"):
+            error_bound(math.nan, 1e-6)
+
 
 class TestFixedPointSolve:
     def test_two_var_converges(self):
@@ -155,6 +162,20 @@ class TestFixedPointSolve:
             fixed_point_solve(g, [np.nan, 0.0], 1e-9, max_iter=5)
         with pytest.raises(ValueError):
             fixed_point_solve(g, [1.0], 1e-9, max_iter=5)
+
+    @pytest.mark.parametrize("solve", [fixed_point_solve, selective_update_solve])
+    def test_nan_tolerance_rejected(self, solve):
+        with pytest.raises(ValueError, match="eps must be positive, got nan"):
+            solve(two_var_map(), None, math.nan)
+
+    @pytest.mark.parametrize("value", [np.float64(2.0), np.array([[2.0], [2.0]])],
+                             ids=["scalar", "column"])
+    def test_vectorised_eval_of_the_wrong_shape_rejected(self, value):
+        g = MonotoneMap(2, lambda i, x: 2.0, lambda i: [], cap=np.full(2, 5.0),
+                        eval=lambda x: value, contraction_rate=0.0, lower_bound=np.zeros(2))
+        message = f"eval must return shape (2,), got {value.shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fixed_point_solve(g, None, 1e-9)
 
 
 class TestMapInvariants:

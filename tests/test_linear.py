@@ -1,10 +1,13 @@
 import gc
 import hashlib
+import time
 import weakref
 from contextlib import nullcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from glbopt import (
@@ -114,25 +117,28 @@ class TestConstruction:
 
 
 def reference_tables(p):
-    """The per-column construction the cached tables must reproduce."""
+    """The per-column table the cached one must reproduce, read piece by
+    piece and column by column: for each column i, each row j in ascending
+    order and each piece l storing A_l[j, i], the entry
+    ``(l*n + j, j, A_l[j, i], last)``, where ``last`` marks row j's last piece."""
     n = p.n
-    cols = [[] for _ in range(n)]
-    touched_sets = [set() for _ in range(n)]
-    col_nnz = [0] * n
-    for ell, (A, _) in enumerate(p.pieces):
+    stored = []  # stored[l][i] maps row j to A_l[j, i]
+    for A, _ in p.pieces:
         csc = A.tocsc()
-        iptr, idx, dat = csc.indptr, csc.indices, csc.data
-        for i in range(n):
-            lo, hi = int(iptr[i]), int(iptr[i + 1])
-            if lo == hi:
-                continue
-            js = idx[lo:hi].tolist()
-            vs = dat[lo:hi].tolist()
-            cols[i].append((ell, list(zip(js, vs))))
-            touched_sets[i].update(js)
-            col_nnz[i] += hi - lo
-    touched = [sorted(s) for s in touched_sets]
-    return cols, touched, col_nnz
+        stored.append([
+            dict(zip(csc.indices[csc.indptr[i]:csc.indptr[i + 1]].tolist(),
+                     csc.data[csc.indptr[i]:csc.indptr[i + 1]].tolist()))
+            for i in range(n)
+        ])
+    cols = []
+    for i in range(n):
+        col = []
+        for j in range(n):
+            hits = [(ell, by_col[i][j]) for ell, by_col in enumerate(stored) if j in by_col[i]]
+            for m, (ell, w) in enumerate(hits):
+                col.append((ell * n + j, j, w, m == len(hits) - 1))
+        cols.append(col)
+    return cols
 
 
 TABLE_FAMILIES = ["ba", "nws", "hk", "speedplan", "hjb"]
@@ -159,17 +165,33 @@ def table_case(name):
 
 class _RecordingPiece:
     """A stored piece that records whether the collector ran when the table
-    build asked for its CSC form, and fails that request when it has no matrix."""
+    build asked for its COO form, and fails that request when it has no matrix."""
 
     def __init__(self, A):
         self.A = A
         self.collector_enabled = None
 
-    def tocsc(self):
+    def tocoo(self):
         self.collector_enabled = gc.isenabled()
         if self.A is None:
-            raise RuntimeError("no CSC form")
-        return self.A.tocsc()
+            raise RuntimeError("no COO form")
+        return self.A.tocoo()
+
+
+@st.composite
+def small_problems(draw):
+    """Problems with n <= 8 and L <= 3 whose entries, diagonals included, are
+    each stored with probability about one half, so pieces often share an
+    entry (j, i); row sums are scaled to at most 0.9."""
+    n = draw(st.integers(1, 8))
+    L = draw(st.integers(1, 3))
+    weights = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
+    A = np.array(draw(st.lists(weights, min_size=L * n * n, max_size=L * n * n)))
+    A = A.reshape(L, n, n)
+    A *= np.minimum(1.0, 0.9 / np.maximum(A.sum(axis=2, keepdims=True), 1e-300))
+    b = np.array(draw(st.lists(st.floats(0.0, 2.0), min_size=L * n, max_size=L * n)))
+    U = draw(st.lists(st.floats(0.0, 5.0), min_size=n, max_size=n))
+    return LinearGlbProblem(list(zip(A, b.reshape(L, n))), U=U)
 
 
 class TestSelectiveTables:
@@ -179,23 +201,24 @@ class TestSelectiveTables:
     ])
     def test_equal_to_per_column_construction(self, name):
         p = table_case(name)
-        cols, touched, col_nnz = p._selective_tables()
-        ref_cols, ref_touched, ref_col_nnz = reference_tables(p)
-        assert [[(ell, list(pairs)) for ell, pairs in c] for c in cols] == ref_cols
-        assert [list(rows) for rows in touched] == ref_touched
-        assert col_nnz == ref_col_nnz
-        assert p._selective_tables() is p._selective_tables()
+        cols = p._selective_tables()
+        assert [list(c) for c in cols] == reference_tables(p)
+        assert p._selective_tables() is cols
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_problems())
+    def test_small_problems_match_reference_and_fixed_sweeps(self, p):
+        assert [list(c) for c in p._selective_tables()] == reference_tables(p)
+        sel = selective_update_linear(p, eps=1e-9)
+        fix = fixed_point_linear(p, eps=1e-9)
+        assert np.max(np.abs(sel.x - fix.x)) <= sel.error_bound + fix.error_bound
 
     def test_collector_stops_tracking_every_entry(self):
         p = make_instance(SweepConfig(family="ba"), 300, seed=3)
-        tables = p._selective_tables()
-        for _ in range(4):  # nested tuples are untracked one level per collection
+        cols = p._selective_tables()
+        for _ in range(2):  # the columns are untracked one collection after their entries
             gc.collect()
-        cols, touched, col_nnz = tables
         inner = list(cols) + [e for c in cols for e in c]
-        inner += [pairs for c in cols for _, pairs in c]
-        inner += [pair for c in cols for _, pairs in c for pair in pairs]
-        inner += touched + col_nnz
         assert len(inner) > p.total_nnz
         assert not any(gc.is_tracked(obj) for obj in inner)
 
@@ -207,7 +230,7 @@ class TestSelectiveTables:
         p._pieces = ((piece, p.pieces[0][1]),) + p.pieces[1:]
         (gc.enable if enabled else gc.disable)()
         try:
-            with pytest.raises(RuntimeError, match="no CSC form") if fails else nullcontext():
+            with pytest.raises(RuntimeError, match="no COO form") if fails else nullcontext():
                 p._selective_tables()
             assert gc.isenabled() is enabled
         finally:
@@ -217,11 +240,10 @@ class TestSelectiveTables:
 
     def test_indices_share_one_int_per_index(self):
         p = make_instance(SweepConfig(family="ba"), 1000, seed=3)
-        cols, touched, _ = p._selective_tables()
-        indices = [j for c in cols for _, pairs in c for j, _ in pairs]
-        indices += [j for rows in touched for j in rows]
+        cols = p._selective_tables()
+        indices = [index for c in cols for k, j, _, _ in c for index in (k, j)]
         assert len(indices) > p.total_nnz
-        assert len({id(j) for j in indices}) <= p.n
+        assert len({id(index) for index in indices}) <= p.L * p.n
 
 
 class TestContractionRates:
@@ -346,6 +368,32 @@ class TestSelectiveLinear:
     def test_start_below_image_rejected(self, two_var):
         with pytest.raises(StartPointError):
             selective_update_linear(two_var, x0=np.zeros(2), eps=1e-9)
+
+    def test_start_point_error_comes_before_any_update(self, two_var):
+        heads = []
+        with pytest.raises(StartPointError):
+            selective_update_linear(two_var, x0=np.zeros(2), eps=1e-9,
+                                    monitor=lambda x, xi: heads.append(list(x)))
+        assert heads == []
+
+    def test_wall_time_excludes_the_table_build(self, two_var, monkeypatch):
+        build = LinearGlbProblem._selective_tables
+
+        def slow_build(p):
+            time.sleep(0.5)
+            return build(p)
+
+        monkeypatch.setattr(LinearGlbProblem, "_selective_tables", slow_build)
+        t0 = time.perf_counter()
+        report = selective_update_linear(two_var, eps=1e-9)
+        assert time.perf_counter() - t0 >= 0.5
+        assert report.wall_time < 0.25
+
+    @pytest.mark.parametrize("solver", [selective_update_linear, selective_update_preconditioned,
+                                        fixed_point_linear])
+    def test_nan_tolerance_rejected(self, two_var, solver):
+        with pytest.raises(ValueError, match="eps must be positive, got nan"):
+            solver(two_var, eps=float("nan"))
 
     def test_start_point_message_matches_generic_solver(self, two_var):
         # g(1, 0) = (1, 1.5): component 1 starts 1.5 below its image
