@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import sparse
 
-from .linear import LinearGlbProblem, contraction_rates
+from .linear import LinearGlbProblem, _collector_paused, contraction_rates
 
 
 class InstanceFormatError(ValueError):
@@ -441,7 +441,7 @@ def maneuver_time(w, h: float) -> float:
         raise ValueError("need a profile of at least two samples")
     if np.any(w < 0):
         raise ValueError(f"negative squared speed at sample {int(np.argmin(w))}")
-    if h <= 0:
+    if not h > 0:
         raise ValueError(f"sample spacing must be positive, got {h}")
     roots = np.sqrt(w)
     denom = roots[:-1] + roots[1:]
@@ -575,7 +575,7 @@ class HjbGridSpec:
         if not controls:
             raise ValueError("control set must be nonempty")
         object.__setattr__(self, "controls", controls)
-        if self.discount <= 0:
+        if not self.discount > 0:
             raise ValueError(f"discount rate must be positive, got {self.discount}")
         if not 0.0 < self.step <= 1.0 / self.discount:
             raise ValueError(
@@ -781,11 +781,26 @@ def load_instance(path) -> LinearGlbProblem:
     replaced under a :class:`~glbopt.linear.RedundantRowWarning` exactly as in
     direct construction.
     """
+    pieces, U, a, meta = _read_instance(path)
+    return LinearGlbProblem(pieces, U=U, a=a, meta=meta)
+
+
+@_collector_paused()
+def _read_instance(path):
+    """Parse and check a document into the ``(pieces, U, a, meta)`` of its problem.
+
+    Runs with the cyclic collector paused: the document holds a list per
+    stored entry, which the collections its allocations would trigger walk
+    again and again and never free.  The document dies with this frame, so
+    on success only arrays and ``meta`` outlive the pause.
+    """
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InstanceFormatError(f"{path}: not valid JSON ({exc})") from exc
+        except RecursionError:
+            raise InstanceFormatError(f"{path}: not valid JSON (nesting too deep)") from None
     if not isinstance(doc, dict):
         raise InstanceFormatError(f"{path}: top level must be an object")
     for key in ("n", "pieces", "U"):
@@ -810,30 +825,7 @@ def load_instance(path) -> LinearGlbProblem:
             raise InstanceFormatError(f"{path}: piece {ell + 1} must carry fields 'A' and 'b'")
         if not isinstance(piece["A"], list):
             raise InstanceFormatError(f"{path}: piece {ell + 1} field 'A' must be a list of entries")
-        rows, cols, vals = [], [], []
-        for k, entry in enumerate(piece["A"]):
-            if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-                raise InstanceFormatError(
-                    f"{path}: piece {ell + 1}, entry {k}: expected [row, col, value]"
-                )
-            r, c, v = entry
-            if type(r) is not int or type(c) is not int or type(v) not in (int, float):
-                raise InstanceFormatError(
-                    f"{path}: piece {ell + 1}, entry {k}: expected integer row and col "
-                    f"and a numeric value, got {entry!r}"
-                )
-            if not 0 <= r < n or not 0 <= c < n:
-                raise InstanceFormatError(
-                    f"{path}: piece {ell + 1}, entry {k}: index ({r}, {c}) out of range for n = {n}"
-                )
-            rows.append(r)
-            cols.append(c)
-            try:
-                vals.append(float(v))
-            except OverflowError:
-                raise InstanceFormatError(
-                    f"{path}: piece {ell + 1}, entry {k}: integer beyond the float range"
-                ) from None
+        rows, cols, vals = _triplets(piece["A"], n, ell, path)
         b = _vector(piece["b"], n, f"piece {ell + 1} offset b", path)
         pieces.append((sparse.coo_array((vals, (rows, cols)), shape=(n, n)), b))
     meta = doc.get("meta")
@@ -841,22 +833,66 @@ def load_instance(path) -> LinearGlbProblem:
         meta = {}
     elif not isinstance(meta, dict):
         raise InstanceFormatError(f"{path}: meta must be an object, got {type(meta).__name__}")
-    return LinearGlbProblem(pieces, U=U, a=a, meta=meta)
+    return pieces, U, a, meta
+
+
+def _triplets(entries: list, n: int, ell: int, path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, column and value arrays of a piece's ``[row, col, value]`` entries.
+
+    Checked per column: entry types and lengths, then the types of each
+    column, then the index range and the float conversion on whole arrays.
+    Only when a check fails does the entry-by-entry loop run, to name the
+    first bad entry.
+    """
+    if set(map(type, entries)) <= {list} and set(map(len, entries)) <= {3}:
+        rows, cols, vals = zip(*entries) if entries else ((), (), ())
+        if set(map(type, rows + cols)) <= {int} and set(map(type, vals)) <= {int, float}:
+            try:  # an index beyond int64 or a value beyond float64: the loop names it
+                r = np.fromiter(rows, np.int64, len(rows))
+                c = np.fromiter(cols, np.int64, len(cols))
+                v = np.array(vals, dtype=float)
+            except OverflowError:
+                pass
+            else:
+                if not r.size or (min(r.min(), c.min()) >= 0 and max(r.max(), c.max()) < n):
+                    return r, c, v
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise InstanceFormatError(
+                f"{path}: piece {ell + 1}, entry {k}: expected [row, col, value]"
+            )
+        r, c, v = entry
+        if type(r) is not int or type(c) is not int or type(v) not in (int, float):
+            raise InstanceFormatError(
+                f"{path}: piece {ell + 1}, entry {k}: expected integer row and col "
+                f"and a numeric value, got {entry!r}"
+            )
+        if not 0 <= r < n or not 0 <= c < n:
+            raise InstanceFormatError(
+                f"{path}: piece {ell + 1}, entry {k}: index ({r}, {c}) out of range for n = {n}"
+            )
+        if not _fits_float(v):
+            raise InstanceFormatError(
+                f"{path}: piece {ell + 1}, entry {k}: integer beyond the float range"
+            )
+    raise AssertionError("a column check failed that no entry fails")
 
 
 def _vector(values, n: int, name: str, path) -> np.ndarray:
     if not isinstance(values, list):
         raise InstanceFormatError(f"{path}: {name} must be a list of numbers, got {type(values).__name__}")
+    if set(map(type, values)) <= {int, float} and len(values) == n:
+        try:
+            return np.array(values, dtype=float)
+        except OverflowError:
+            pass
     for k, v in enumerate(values):
         if type(v) not in (int, float):  # JSON numbers only: no bool, no numeric string
             raise InstanceFormatError(f"{path}: {name} entry {k}: expected a number, got {v!r}")
     if len(values) != n:
         raise InstanceFormatError(f"{path}: {name} must have length {n}, got {len(values)}")
-    try:
-        return np.array(values, dtype=float)
-    except OverflowError:
-        k = next(k for k, v in enumerate(values) if not _fits_float(v))
-        raise InstanceFormatError(f"{path}: {name} entry {k}: integer beyond the float range") from None
+    k = next(k for k, v in enumerate(values) if not _fits_float(v))
+    raise InstanceFormatError(f"{path}: {name} entry {k}: integer beyond the float range")
 
 
 def _fits_float(v) -> bool:

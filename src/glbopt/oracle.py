@@ -95,7 +95,7 @@ def brute_force_max(p: LinearGlbProblem, grid_step: float) -> np.ndarray | None:
     """
     if p.n > 3:
         raise ValueError(f"brute force is limited to n <= 3, got n = {p.n}")
-    if grid_step <= 0:
+    if not grid_step > 0:
         raise ValueError(f"grid step must be positive, got {grid_step}")
     if p.n == 0:
         return np.zeros(0)

@@ -13,6 +13,13 @@ from glbopt import (
 
 GRAPH_FAMILIES = ("ba", "nws", "hk")
 
+# documents nested past any recursion limit: at the top level, and inside meta
+DEEP_DOCUMENTS = {
+    "top": "[" * 200_000,
+    "meta": '{"n": 1, "pieces": [], "U": [1.0], "meta": {"x": '
+            + "[" * 200_000 + "]" * 200_000 + "}}",
+}
+
 
 def make_random_problem(seed: int, n: int, L: int, gamma: float, cap: float = 10.0) -> LinearGlbProblem:
     """Sparse random instance over mixed graph families and attachment

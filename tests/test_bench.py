@@ -9,6 +9,7 @@ import pytest
 from glbopt import bench, load_instance, save_instance, LinearGlbProblem, SolveReport
 from glbopt.bench import SweepConfig, make_instance, run_sweep, solve_with_method, write_sweep_csv
 from glbopt.cli import main
+from suite_helpers import DEEP_DOCUMENTS
 
 
 class TestCounterDiscipline:
@@ -240,6 +241,14 @@ class TestCli:
         assert main(["solve", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("where", list(DEEP_DOCUMENTS))
+    def test_solve_deeply_nested_file_exits_one(self, where, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP_DOCUMENTS[where])
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nesting too deep" in err and "Traceback" not in err
 
     def test_missing_file_exits_one(self, capsys):
         assert main(["solve", "/nonexistent/path.json"]) == 1

@@ -1,9 +1,14 @@
+import gc
 import hashlib
 import json
 import math
+import warnings
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from glbopt import (
@@ -35,6 +40,7 @@ from glbopt import (
 )
 from glbopt.bench import SweepConfig, make_instance
 from glbopt.instances import _ScalarDraws
+from suite_helpers import DEEP_DOCUMENTS
 
 
 class TestGraphGenerators:
@@ -409,6 +415,11 @@ class TestManeuverTime:
         with pytest.raises(ValueError, match="negative"):
             maneuver_time([1.0, -0.5], 1.0)
 
+    @pytest.mark.parametrize("h", [0.0, -1.0, math.nan])
+    def test_spacing_not_positive_rejected(self, h):
+        with pytest.raises(ValueError, match=f"sample spacing must be positive, got {h}"):
+            maneuver_time([1.0, 1.0], h)
+
 
 class TestManipulator:
     def test_replicates_speed_planning_bands(self):
@@ -523,6 +534,11 @@ class TestHjbGrid:
     def test_step_beyond_discount_window_rejected(self):
         with pytest.raises(ValueError, match="step must lie"):
             const_hjb_spec(h=1.5)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan])
+    def test_discount_not_positive_rejected(self, lam):
+        with pytest.raises(ValueError, match=f"discount rate must be positive, got {lam}"):
+            const_hjb_spec(lam=lam)
 
     def test_empty_controls_rejected(self):
         with pytest.raises(ValueError, match="control set"):
@@ -770,6 +786,172 @@ class TestInstanceFiles:
         back = load_instance(path)
         assert back.meta["generator"] == "random_linear"
         assert back.meta["seed"] == 7
+
+
+def _stored_arrays(p):
+    """Every stored array of a problem as (dtype, shape, bytes)."""
+    arrays = [p.U, p.a] + [arr for A, b in p.pieces for arr in (A.indptr, A.indices, A.data, b)]
+    return [(arr.dtype.str, arr.shape, arr.tobytes()) for arr in arrays]
+
+
+def _per_entry_problem(doc):
+    """The problem of a valid document, converted one entry at a time."""
+    n = doc["n"]
+    pieces = []
+    for piece in doc["pieces"]:
+        rows = [r for r, _, _ in piece["A"]]
+        cols = [c for _, c, _ in piece["A"]]
+        vals = [float(v) for _, _, v in piece["A"]]
+        pieces.append((sparse.coo_array((vals, (rows, cols)), shape=(n, n)),
+                       [float(v) for v in piece["b"]]))
+    return LinearGlbProblem(pieces, U=[float(v) for v in doc["U"]],
+                            a=[float(v) for v in doc["a"]], meta=doc["meta"])
+
+
+@st.composite
+def instance_documents(draw, min_entries=0):
+    """Valid documents with n <= 5 and L <= 3: repeated and diagonal entries,
+    integer and float values, integers beyond 2**53 among them.  With
+    ``min_entries``, every piece holds that many entries and L >= 1."""
+    n = draw(st.integers(1, 5))
+    index = st.integers(0, n - 1)
+    value = st.one_of(st.floats(0.0, 1e300), st.integers(0, 10**30))
+    vector = st.lists(value, min_size=n, max_size=n)
+    entries = st.lists(st.tuples(index, index, value).map(list), min_size=min_entries, max_size=8)
+    pieces = draw(st.lists(st.fixed_dictionaries({"A": entries, "b": vector}),
+                           min_size=min(min_entries, 1), max_size=3))
+    return {"n": n, "L": len(pieces), "pieces": pieces, "U": draw(vector), "a": draw(vector),
+            "meta": {"seed": draw(st.integers(0, 9))}}
+
+
+_NOT_A_TRIPLET = r"expected \[row, col, value\]"
+
+
+def _corrupt(kind, entry, n, data):
+    """``entry`` with one fault of the given kind, and the message that names it."""
+    field, index = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 1))
+    if kind == "bool":
+        entry[field] = data.draw(st.booleans())
+    elif kind == "numeric string":
+        entry[field] = str(entry[field])
+    elif kind == "float index":
+        entry[index] = float(entry[index])
+    elif kind in ("index n", "negative index", "index beyond int64"):
+        entry[index] = {"index n": n, "negative index": -1, "index beyond int64": 2**63}[kind]
+        return entry, r"index \(.*\) out of range"
+    elif kind == "beyond float":
+        entry[2] = 10**400
+        return entry, "integer beyond the float range"
+    elif kind == "wrong arity":
+        return data.draw(st.sampled_from([entry[:2], entry + [0.0], []])), _NOT_A_TRIPLET
+    elif kind == "not a list":
+        return data.draw(st.sampled_from([{"row": entry[0]}, 5, "e", None])), _NOT_A_TRIPLET
+    else:
+        raise ValueError(f"unknown corruption {kind!r}")
+    return entry, "expected integer row and col and a numeric value"
+
+
+class _Document(dict):
+    """A parsed document that records whether the collector ran when it was freed."""
+
+    def __init__(self, doc, freeing):
+        super().__init__(doc)
+        self.freeing = freeing
+
+    def __del__(self):
+        self.freeing.append(gc.isenabled())
+
+
+class TestLoader:
+    @settings(max_examples=150, deadline=None)
+    @given(instance_documents())
+    def test_matches_per_entry_conversion(self, tmp_path_factory, doc):
+        path = tmp_path_factory.mktemp("doc") / "doc.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RedundantRowWarning)
+            assert _stored_arrays(load_instance(path)) == _stored_arrays(_per_entry_problem(doc))
+
+    @pytest.mark.parametrize("kind", [
+        "bool", "numeric string", "float index", "index n", "negative index",
+        "index beyond int64", "beyond float", "wrong arity", "not a list"])
+    @settings(max_examples=30, deadline=None)
+    @given(doc=instance_documents(min_entries=1), data=st.data())
+    def test_corrupt_entry_is_named(self, tmp_path_factory, kind, doc, data):
+        ell = data.draw(st.integers(0, doc["L"] - 1))
+        entries = doc["pieces"][ell]["A"]
+        k = data.draw(st.integers(0, len(entries) - 1))
+        entries[k], message = _corrupt(kind, entries[k], doc["n"], data)
+        path = tmp_path_factory.mktemp("doc") / "doc.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InstanceFormatError, match=rf"piece {ell + 1}, entry {k}: {message}"):
+            load_instance(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(instance_documents(), st.sampled_from([True, "1.0", 10**400]), st.data())
+    def test_corrupt_vector_entry_is_named(self, tmp_path_factory, doc, bad, data):
+        where = data.draw(st.sampled_from(["U", "a", *range(doc["L"])]))
+        if where in ("U", "a"):
+            vector, name = doc[where], where
+        else:
+            vector, name = doc["pieces"][where]["b"], f"piece {where + 1} offset b"
+        k = data.draw(st.integers(0, doc["n"] - 1))
+        vector[k] = bad
+        path = tmp_path_factory.mktemp("doc") / "doc.json"
+        path.write_text(json.dumps(doc))
+        message = "integer beyond" if bad == 10**400 else "expected a number"
+        with pytest.raises(InstanceFormatError, match=rf"{name} entry {k}: {message}"):
+            load_instance(path)
+
+    @pytest.mark.parametrize("family", ["ba", "nws", "hk", "speedplan", "hjb", "dominant"])
+    def test_round_trip_keeps_every_array(self, family, tmp_path):
+        if family == "dominant":
+            p = dominant_diagonal_problem(12, 2, gamma=0.9, delta=0.3, seed=5)
+        else:
+            p = make_instance(SweepConfig(family=family), 300, seed=3)
+        path = tmp_path / "inst.json"
+        save_instance(p, path)
+        assert _stored_arrays(load_instance(path)) == _stored_arrays(p)
+
+    @pytest.mark.parametrize("where", list(DEEP_DOCUMENTS))
+    def test_deep_nesting_is_a_format_error(self, where, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP_DOCUMENTS[where])
+        with pytest.raises(InstanceFormatError, match=r"not valid JSON \(nesting too deep\)"):
+            load_instance(path)
+
+    @pytest.mark.parametrize("case", ["valid", "invalid JSON", "bad entry", "deep nesting"])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_load_pauses_the_collector_and_restores_its_state(self, enabled, case, tmp_path,
+                                                              monkeypatch):
+        text = {
+            "valid": json.dumps({"n": 2, "pieces": [{"A": [[0, 1, 0.5]], "b": [0.0, 1.0]}],
+                                 "U": [1.0, 1.0]}),
+            "invalid JSON": "{not json",
+            "bad entry": json.dumps({"n": 2, "pieces": [{"A": [[0, 1, 0.5], [1, 0, "x"]],
+                                                          "b": [0.0, 0.0]}], "U": [1.0, 1.0]}),
+            "deep nesting": DEEP_DOCUMENTS["top"],
+        }[case]
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        parsing, freeing = [], []
+        json_load = json.load
+
+        def recording_load(fh):
+            parsing.append(gc.isenabled())
+            return _Document(json_load(fh), freeing)
+
+        monkeypatch.setattr(json, "load", recording_load)
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with nullcontext() if case == "valid" else pytest.raises(InstanceFormatError):
+                load_instance(path)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert parsing == [False]
+        if case == "valid":  # the document died before the collector resumed
+            assert freeing == [False]
 
 
 def _loaded_unsorted(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,11 @@ class TestBruteForce:
         p = LinearGlbProblem([], U=np.ones(4))
         with pytest.raises(ValueError, match="n <= 3"):
             brute_force_max(p, 0.1)
+
+    @pytest.mark.parametrize("step", [0.0, -0.1, math.nan])
+    def test_grid_step_not_positive_rejected(self, two_var, step):
+        with pytest.raises(ValueError, match=f"grid step must be positive, got {step}"):
+            brute_force_max(two_var, step)
 
     def test_agreement_with_reference_on_snapped_instance(self):
         # b chosen so the fixed point lies on the grid: x+ = (0.1, 0.08)
