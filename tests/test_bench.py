@@ -276,6 +276,9 @@ class TestCli:
         (["--family", "hjb", "--preset", "drift1d", "--n", "41", "--discount", "1",
           "--step", "0.25"],
          "c01cbdef619f853791d55bad1908f27458e2510dae684485baf504cfcee21e82"),
+        (["--family", "hjb", "--preset", "spin2d", "--n", "21", "--discount", "0.95",
+          "--step", "0.5"],
+         "cf1529c1ecf92242a8bd71f3f8f744787de7cc9a32ef5d8eb1f68041777ed4cd"),
     ])
     def test_gen_file_bytes_are_pinned(self, argv, digest, tmp_path, capsys):
         # the instance file layout is a contract: same bytes for the same arguments

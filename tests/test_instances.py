@@ -39,7 +39,7 @@ from glbopt import (
     to_lp_form,
 )
 from glbopt.bench import SweepConfig, make_instance
-from glbopt.instances import _ScalarDraws
+from glbopt.instances import _ScalarDraws, hjb_preset
 from suite_helpers import DEEP_DOCUMENTS
 
 
@@ -471,7 +471,38 @@ def const_hjb_spec(count=5, lam=1.0, h=0.5):
     )
 
 
+def skewed_hjb_spec():
+    """2D spec whose drift depends on the state, so rows land off the nodes."""
+    return HjbGridSpec(
+        axes=((-1.0, 1.0, 9), (-1.0, 1.0, 7)),
+        controls=((0.3, -0.2), (-0.15, 0.45)),
+        dynamics=lambda x, u: np.array([u[0] + 0.1 * x[1], u[1] - 0.2 * x[0]]),
+        running_cost=lambda x, u: float(x[0] ** 2 + x[1] ** 2),
+        discount=1.0, step=0.4,
+    )
+
+
 class TestHjbGrid:
+    @pytest.mark.parametrize("spec, digest", [
+        (("drift1d", 1001, 0.1, 0.5), "a8659a1c346a96fa9aab294b89e5307c"),
+        (("drift1d", 41, 1.0, 0.25), "73644d9e6eb431b8b805866dd6023d01"),
+        (("const1d", 101, 1.0, 0.5), "996f4b8b60a0512b0fabde6b1f13e3c5"),
+        (("spin2d", 21, 0.95, 0.5), "4f6809ce8b8ec505cc1e34c36ec0a204"),
+        (("spin2d", 37, 0.3, 0.9), "e04adfbd226b22f57b44e6ef2828421c"),
+        (("drift1d", 41, 2.0, 0.5), "01c4cf8055f9a451c7cba1b0824f2cc2"),  # decay zero
+        ("skewed", "61d3ba5f76773ba17757ed561ff686b8"),
+    ])
+    def test_golden_pieces(self, spec, digest):
+        # every weight and offset must stay as first built, rounding included
+        spec = skewed_hjb_spec() if spec == "skewed" else hjb_preset(*spec)
+        p = hjb_grid_problem(spec)
+        h = hashlib.sha256()
+        for A, b in p.pieces:
+            for arr in (A.indptr.astype(np.int64), A.indices.astype(np.int64), A.data, b):
+                h.update(arr.tobytes())
+        h.update(p.U.tobytes())
+        assert h.hexdigest()[:32] == digest
+
     def test_constant_cost_fixture_structure(self):
         p = hjb_grid_problem(const_hjb_spec())
         A, b = p.pieces[0]
@@ -506,14 +537,7 @@ class TestHjbGrid:
         assert A[4, 4] == pytest.approx(0.5)  # clamped at the hull
 
     def test_row_sums_equal_decay_exactly(self):
-        spec = HjbGridSpec(
-            axes=((-1.0, 1.0, 9), (-1.0, 1.0, 7)),
-            controls=((0.3, -0.2), (-0.15, 0.45)),
-            dynamics=lambda x, u: np.array([u[0] + 0.1 * x[1], u[1] - 0.2 * x[0]]),
-            running_cost=lambda x, u: float(x[0] ** 2 + x[1] ** 2),
-            discount=1.0, step=0.4,
-        )
-        p = hjb_grid_problem(spec)
+        p = hjb_grid_problem(skewed_hjb_spec())
         decay = 1.0 - 1.0 * 0.4
         ones = np.ones(p.n)
         for A, _ in p.pieces:
@@ -623,6 +647,23 @@ class TestInstanceFiles:
         back = load_instance(path)
         assert np.array_equal(back.pieces[0][0].toarray(), vals)
         assert np.array_equal(back.pieces[0][1], p.pieces[0][1])
+
+    def test_signed_zeros_and_subnormals_round_trip(self, tmp_path):
+        # -0.0 and 0.0 are distinct values of a vector: each keeps its own text
+        A = np.zeros((3, 3))
+        A[0, 2] = 0.5
+        p = LinearGlbProblem([(A, np.array([0.0, -0.0, 5e-324]))], U=[-0.0, 5e-324, 0.0])
+        path = tmp_path / "zeros.json"
+        save_instance(p, path)
+        assert path.read_text() == (
+            '{\n "n": 3,\n "L": 1,\n "pieces": [\n  {\n   "A": [\n    [\n     0,\n     2,\n'
+            '     0.5\n    ]\n   ],\n   "b": [\n    0.0,\n    -0.0,\n    5e-324\n   ]\n  }\n ],\n'
+            ' "U": [\n  -0.0,\n  5e-324,\n  0.0\n ],\n "a": [\n  0.0,\n  0.0,\n  0.0\n ],\n'
+            ' "meta": {}\n}\n'
+        )
+        back = load_instance(path)
+        for vec, vec_back in ((p.U, back.U), (p.pieces[0][1], back.pieces[0][1])):
+            assert vec_back.tobytes() == vec.tobytes()
 
     def test_negative_entry_error_names_location(self, tmp_path):
         path = tmp_path / "bad.json"
