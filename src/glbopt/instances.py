@@ -552,7 +552,18 @@ class HjbGridSpec:
     1D or 2D grid: ``axes`` lists (lo, hi, points) per state dimension,
     ``controls`` the finite control set, ``dynamics(x, u)`` the drift,
     ``running_cost(x, u)`` the nonnegative stage cost, ``discount`` the rate
-    lambda > 0 and ``step`` the integration step h in (0, 1/lambda]."""
+    lambda > 0 and ``step`` the integration step h in (0, 1/lambda].
+
+    :func:`hjb_grid_problem` calls ``running_cost`` and then ``dynamics``
+    once per control and node, in node order (row-major over the axes),
+    control after control; ``dynamics`` is not called when
+    ``discount * step == 1``, as the matrices are then zero.  Each callable
+    receives the node as a float in 1D and as a length-2 array in 2D, and
+    the control as a length-``dim`` array; ``running_cost`` returns a float
+    and ``dynamics`` a float or a ``dim``-vector.  A drift may be infinite
+    (the displaced point is clamped into the grid hull); a NaN drift and a
+    NaN or infinite cost are errors.
+    """
 
     axes: tuple
     controls: tuple
@@ -627,30 +638,6 @@ def hjb_preset(name: str, grid_n: int, discount: float = 1.0, step: float = 0.5)
     raise ValueError(f"unknown hjb preset {name!r}; expected const1d, drift1d or spin2d")
 
 
-def _force_row_sum(entries: list[tuple[int, float]], target: float) -> list[tuple[int, float]]:
-    """Adjust the final entry so the ascending-index sequential float sum of
-    the row equals ``target`` exactly (the summation order of a sparse
-    row-times-ones product).  The adjustment is ulp-scale; if the trailing
-    weight cannot absorb it the (ulp-sized) entry is dropped instead."""
-    entries = list(entries)
-    while entries:
-        prefix = 0.0
-        for _, w in entries[:-1]:
-            prefix += w
-        last = target - prefix
-        if last > 0.0 or (last == 0.0 and len(entries) == 1 and target == 0.0):
-            for _ in range(64):
-                total = prefix + last
-                if total == target:
-                    entries[-1] = (entries[-1][0], last)
-                    return entries
-                last = math.nextafter(last, math.inf if total < target else -math.inf)
-                if last <= 0.0:
-                    break
-        entries.pop()
-    return entries
-
-
 def hjb_grid_problem(spec: HjbGridSpec) -> LinearGlbProblem:
     """Discrete dynamic-programming equations as a linear glb instance.
 
@@ -658,59 +645,26 @@ def hjb_grid_problem(spec: HjbGridSpec) -> LinearGlbProblem:
     weights of the displaced point ``x_i + h f(x_i, u)`` (clamped into the
     grid hull) scaled by ``1 - lambda h``, the offset is ``h g(x_i, u)`` and
     the cap is ``1/lambda``.  Row sums equal ``1 - lambda h`` exactly: the
-    largest weight absorbs the rounding remainder.
+    last weight of each row absorbs the rounding remainder.
+
+    The callables run once per control and node, in node order (see
+    :class:`HjbGridSpec`); everything else runs on whole arrays.  A fault is
+    reported at the first node that has one, the cost before the drift.
     """
     lam, h = spec.discount, spec.step
     decay = 1.0 - lam * h
     nodes = spec.grid_points()
     N = nodes.shape[0]
-    axes_vals = [np.linspace(lo, hi, count) for lo, hi, count in spec.axes]
-    steps = [(hi - lo) / (count - 1) for lo, hi, count in spec.axes]
-    counts = [count for _, _, count in spec.axes]
+    points = list(nodes[:, 0] if spec.dim == 1 else nodes)
 
     pieces = []
-    for u in spec.controls:
-        rows, cols, vals = [], [], []
-        b = np.empty(N)
-        for i in range(N):
-            x = nodes[i]
-            cost = float(spec.running_cost(x if spec.dim > 1 else x[0], u))
-            if cost < 0:
-                raise ValueError(f"running cost must be nonnegative, got {cost} at node {i}")
-            b[i] = h * cost
-            if decay == 0.0:
-                continue
-            drift = np.atleast_1d(np.asarray(spec.dynamics(x if spec.dim > 1 else x[0], u), dtype=float))
-            if drift.shape != (spec.dim,):
-                raise ValueError(f"dynamics must return a {spec.dim}-vector, got shape {drift.shape}")
-            y = x + h * drift
-            cells, fracs = [], []
-            for axis in range(spec.dim):
-                lo, hi, count = spec.axes[axis]
-                pos = (min(max(float(y[axis]), lo), hi) - lo) / steps[axis]
-                j = min(int(math.floor(pos)), counts[axis] - 2)
-                cells.append(j)
-                fracs.append(pos - j)
-            if spec.dim == 1:
-                j, t = cells[0], fracs[0]
-                w_hi = decay * t
-                entries = [(j, decay - w_hi), (j + 1, w_hi)]
-            else:
-                (j1, j2), (t1, t2) = cells, fracs
-                corners = [
-                    (j1 * counts[1] + j2, (1 - t1) * (1 - t2)),
-                    (j1 * counts[1] + j2 + 1, (1 - t1) * t2),
-                    ((j1 + 1) * counts[1] + j2, t1 * (1 - t2)),
-                    ((j1 + 1) * counts[1] + j2 + 1, t1 * t2),
-                ]
-                entries = [(idx, decay * w) for idx, w in corners]
-            entries = sorted((idx, w) for idx, w in entries if w > 0.0)
-            for idx, w in _force_row_sum(entries, decay):
-                if w != 0.0:
-                    rows.append(i)
-                    cols.append(idx)
-                    vals.append(w)
-        pieces.append((sparse.coo_array((vals, (rows, cols)), shape=(N, N)), b))
+    for k, u in enumerate(spec.controls):
+        cost, drift = _node_values(spec, k, u, points, decay != 0.0)
+        if decay == 0.0:
+            A = sparse.coo_array((N, N))
+        else:
+            A = _interpolation_rows(spec, nodes + h * drift, decay)
+        pieces.append((A, h * cost))
 
     meta = {
         "generator": "hjb_grid",
@@ -725,6 +679,128 @@ def hjb_grid_problem(spec: HjbGridSpec) -> LinearGlbProblem:
     return LinearGlbProblem(pieces, U=np.full(N, 1.0 / lam), meta=meta)
 
 
+def _node_values(spec: HjbGridSpec, k: int, u, points: list, with_drift: bool):
+    """Running cost (N,) and drift (N, dim) of every node under the ``k``-th
+    control ``u``; the dynamics is called only ``with_drift``.
+
+    Converted on whole arrays; when that fails or finds a bad value,
+    :func:`_checked_node_values` converts node by node and names the first
+    fault.  If a callable raises, a fault at an earlier node is named first.
+    """
+    cost_fn, drift_fn = spec.running_cost, spec.dynamics
+    costs, drifts = [], []
+    try:
+        for x in points:
+            costs.append(cost_fn(x, u))
+            if with_drift:
+                drifts.append(drift_fn(x, u))
+    except Exception:
+        _checked_node_values(spec, k, costs, drifts)
+        raise
+    N, dim = len(costs), spec.dim
+    try:
+        cost = np.fromiter(map(float, costs), float, N)
+        drift = np.array(drifts, dtype=float) if with_drift else np.zeros((N, dim))
+    except (TypeError, ValueError, OverflowError):
+        return _checked_node_values(spec, k, costs, drifts)
+    if dim == 1 and drift.shape == (N,):
+        drift = drift[:, None]
+    if (drift.shape != (N, dim) or np.isnan(drift).any()
+            or not np.all((cost >= 0.0) & (cost < math.inf))):
+        return _checked_node_values(spec, k, costs, drifts)
+    return cost, drift
+
+
+def _checked_node_values(spec: HjbGridSpec, k: int, costs: list, drifts: list):
+    """:func:`_node_values` converted node by node: raises at the first
+    node with a fault, checking its cost before its drift."""
+    dim = spec.dim
+    cost, drift = np.empty(len(costs)), np.zeros((len(costs), dim))
+    for i, c in enumerate(costs):
+        cost[i] = c = float(c)
+        if c < 0:
+            raise ValueError(f"running cost must be nonnegative, got {c} at node {i}")
+        if not math.isfinite(c):
+            raise ValueError(f"running cost must be finite, got {c} at node {i}, control {k}")
+        if i < len(drifts):
+            d = np.atleast_1d(np.asarray(drifts[i], dtype=float))
+            if d.shape != (dim,):
+                raise ValueError(f"dynamics must return a {dim}-vector, got shape {d.shape}")
+            if np.isnan(d).any():
+                raise ValueError(f"dynamics returned NaN, got {d.tolist()} at node {i}, control {k}")
+            drift[i] = d
+    return cost, drift
+
+
+def _interpolation_rows(spec: HjbGridSpec, y: np.ndarray, decay: float) -> sparse.coo_array:
+    """Row i holds ``decay`` times the multilinear weights of the point
+    ``y[i]`` clamped into the grid hull, with the row sum forced to
+    ``decay`` exactly by :func:`_force_row_sums`."""
+    cells, fracs = [], []
+    for (lo, hi, count), coord in zip(spec.axes, y.T):
+        coord = np.where(lo > coord, lo, coord)  # max(coord, lo), min(., hi) as Python takes them
+        coord = np.where(hi < coord, hi, coord)
+        pos = (coord - lo) / ((hi - lo) / (count - 1))
+        j = np.minimum(np.floor(pos).astype(np.int64), count - 2)
+        cells.append(j)
+        fracs.append(pos - j)
+    if spec.dim == 1:
+        (j,), (t,) = cells, fracs
+        w_hi = decay * t
+        cols = np.column_stack((j, j + 1))
+        weights = np.column_stack((decay - w_hi, w_hi))
+    else:
+        (j1, j2), (t1, t2) = cells, fracs
+        stride = spec.axes[1][2]
+        base = j1 * stride + j2
+        cols = np.column_stack((base, base + 1, base + stride, base + stride + 1))
+        s1, s2 = 1 - t1, 1 - t2
+        weights = decay * np.column_stack((s1 * s2, s1 * t2, t1 * s2, t1 * t2))
+    N = len(y)
+    return sparse.coo_array(_force_row_sums(cols, weights, decay), shape=(N, N))
+
+
+def _force_row_sums(cols: np.ndarray, weights: np.ndarray, target: float):
+    """``(values, (rows, cols))`` of each row's positive ``weights`` at ``cols``
+    (both (N, K), columns ascending along a row), with the last weight adjusted so
+    that the ascending sequential float sum of the row equals ``target > 0``
+    exactly: the summation order of a sparse row-times-ones product.
+
+    The adjustment takes at most 64 ulp steps; a row whose last weight
+    cannot absorb it within them, without reaching zero, drops that entry
+    and tries again with the one before.
+    """
+    N, K = weights.shape
+    keep = weights > 0.0
+    order = np.argsort(~keep, axis=1, kind="stable")  # kept entries first, in column order
+    cols = np.take_along_axis(cols, order, axis=1)
+    weights = np.take_along_axis(weights, order, axis=1)
+    count = keep.sum(axis=1)
+    rows = np.flatnonzero(count)
+    while rows.size:
+        c = count[rows]
+        prefix = np.add.accumulate(weights[rows], axis=1)  # sequential, left to right
+        prefix = np.where(c >= 2, prefix[np.arange(rows.size), np.maximum(c - 2, 0)], 0.0)
+        last = target - prefix
+        live, ok = last > 0.0, np.zeros(rows.size, dtype=bool)
+        for _ in range(64):
+            if not live.any():
+                break
+            total = prefix + last
+            hit = live & (total == target)
+            ok |= hit
+            live &= ~hit
+            toward = np.where(total < target, np.inf, -np.inf)
+            last = np.where(live, np.nextafter(last, toward), last)
+            live &= last > 0.0
+        weights[rows[ok], c[ok] - 1] = last[ok]
+        rows = rows[~ok]
+        count[rows] -= 1
+        rows = rows[count[rows] > 0]
+    stored = np.arange(K) < count[:, None]
+    return weights[stored], (np.repeat(np.arange(N), count), cols[stored])
+
+
 # -- instance files -----------------------------------------------------------
 
 
@@ -732,13 +808,20 @@ _TRIPLET = "\n    [\n     %d,\n     %d,\n     %r\n    ]"
 _CHUNK = 4096  # triplets formatted and written at a time
 
 
-def _json_list(values, depth: int) -> str:
-    """A flat list laid out as ``json.dump(..., indent=1)`` lays it out at
-    nesting ``depth``: one ``repr`` per line."""
-    if not values:
+def _json_list(values: np.ndarray, depth: int) -> str:
+    """A float vector laid out as ``json.dump(..., indent=1)`` lays out its
+    list at nesting ``depth``: one ``repr`` per line.
+
+    ``repr`` runs once per distinct bit pattern, not per entry, so ``-0.0``
+    keeps its own text apart from ``0.0``.
+    """
+    if not values.size:
         return "[]"
+    bits, where = np.unique(values.view(np.int64), return_inverse=True)
+    text = list(map(repr, bits.view(np.float64).tolist()))
     pad = "\n" + " " * (depth + 1)
-    return "[" + pad + ("," + pad).join(map(repr, values)) + "\n" + " " * depth + "]"
+    lines = ("," + pad).join(map(text.__getitem__, where.tolist()))
+    return "[" + pad + lines + "\n" + " " * depth + "]"
 
 
 def save_instance(p: LinearGlbProblem, path) -> None:
@@ -765,10 +848,10 @@ def save_instance(p: LinearGlbProblem, path) -> None:
                 triplets = zip(rows[chunk].tolist(), cols[chunk].tolist(), vals[chunk].tolist())
                 fh.write(("," if start else "") + ",".join(map(_TRIPLET.__mod__, triplets)))
             fh.write("\n   ],\n" if vals.size else "],\n")
-            fh.write('   "b": ' + _json_list(b.tolist(), 3) + "\n  }")
+            fh.write('   "b": ' + _json_list(b, 3) + "\n  }")
         fh.write("\n ],\n" if p.L else "],\n")
-        fh.write(' "U": ' + _json_list(p.U.tolist(), 1) + ",\n")
-        fh.write(' "a": ' + _json_list(p.a.tolist(), 1) + ",\n")
+        fh.write(' "U": ' + _json_list(p.U, 1) + ",\n")
+        fh.write(' "a": ' + _json_list(p.a, 1) + ",\n")
         fh.write(' "meta": ' + meta + "\n}\n")
 
 
@@ -854,7 +937,8 @@ def _triplets(entries: list, n: int, ell: int, path) -> tuple[np.ndarray, np.nda
             except OverflowError:
                 pass
             else:
-                if not r.size or (min(r.min(), c.min()) >= 0 and max(r.max(), c.max()) < n):
+                if not r.size or (min(r.min(), c.min()) >= 0 and max(r.max(), c.max()) < n
+                                  and np.isfinite(v).all()):
                     return r, c, v
     for k, entry in enumerate(entries):
         if not isinstance(entry, list) or len(entry) != 3:
@@ -875,6 +959,8 @@ def _triplets(entries: list, n: int, ell: int, path) -> tuple[np.ndarray, np.nda
             raise InstanceFormatError(
                 f"{path}: piece {ell + 1}, entry {k}: integer beyond the float range"
             )
+        if not math.isfinite(v):
+            raise InstanceFormatError(f"{path}: piece {ell + 1}, entry {k}: non-finite value {v!r}")
     raise AssertionError("a column check failed that no entry fails")
 
 
@@ -883,16 +969,23 @@ def _vector(values, n: int, name: str, path) -> np.ndarray:
         raise InstanceFormatError(f"{path}: {name} must be a list of numbers, got {type(values).__name__}")
     if set(map(type, values)) <= {int, float} and len(values) == n:
         try:
-            return np.array(values, dtype=float)
+            vector = np.array(values, dtype=float)
         except OverflowError:
             pass
+        else:
+            if np.isfinite(vector).all():
+                return vector
     for k, v in enumerate(values):
         if type(v) not in (int, float):  # JSON numbers only: no bool, no numeric string
             raise InstanceFormatError(f"{path}: {name} entry {k}: expected a number, got {v!r}")
     if len(values) != n:
         raise InstanceFormatError(f"{path}: {name} must have length {n}, got {len(values)}")
-    k = next(k for k, v in enumerate(values) if not _fits_float(v))
-    raise InstanceFormatError(f"{path}: {name} entry {k}: integer beyond the float range")
+    for k, v in enumerate(values):
+        if not _fits_float(v):
+            raise InstanceFormatError(f"{path}: {name} entry {k}: integer beyond the float range")
+        if not math.isfinite(v):  # the NaN, Infinity and -Infinity tokens
+            raise InstanceFormatError(f"{path}: {name} entry {k}: non-finite value {v!r}")
+    raise AssertionError("a vector check failed that no entry fails")
 
 
 def _fits_float(v) -> bool:

@@ -1,8 +1,11 @@
-"""Shared instance builders and an exact residual for the property and acceptance tests."""
+"""Shared instance builders, reference implementations and an exact residual
+for the property and acceptance tests."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
+from scipy import sparse
 
 from glbopt import (
     LinearGlbProblem,
@@ -62,3 +65,84 @@ def exact_residual(p: LinearGlbProblem, x) -> Fraction:
             eta[i] += Fraction(w) * xq[j]
         g = [min(gi, ei) for gi, ei in zip(g, eta)]
     return max((abs(xi - gi) for xi, gi in zip(xq, g)), default=Fraction(0))
+
+
+def force_row_sum(entries: list[tuple[int, float]], target: float) -> list[tuple[int, float]]:
+    """Adjust the final entry so the ascending-index sequential float sum of
+    the row equals ``target`` exactly (the summation order of a sparse
+    row-times-ones product).  The adjustment is ulp-scale; if the trailing
+    weight cannot absorb it the (ulp-sized) entry is dropped instead."""
+    entries = list(entries)
+    while entries:
+        prefix = 0.0
+        for _, w in entries[:-1]:
+            prefix += w
+        last = target - prefix
+        if last > 0.0 or (last == 0.0 and len(entries) == 1 and target == 0.0):
+            for _ in range(64):
+                total = prefix + last
+                if total == target:
+                    entries[-1] = (entries[-1][0], last)
+                    return entries
+                last = math.nextafter(last, math.inf if total < target else -math.inf)
+                if last <= 0.0:
+                    break
+        entries.pop()
+    return entries
+
+
+def reference_hjb_grid_problem(spec) -> LinearGlbProblem:
+    """``glbopt.hjb_grid_problem`` built node by node in Python floats: the
+    reference its pieces, offsets, cap and error messages are compared
+    against (meta is left out)."""
+    lam, h = spec.discount, spec.step
+    decay = 1.0 - lam * h
+    nodes = spec.grid_points()
+    N = nodes.shape[0]
+    steps = [(hi - lo) / (count - 1) for lo, hi, count in spec.axes]
+    counts = [count for _, _, count in spec.axes]
+
+    pieces = []
+    for u in spec.controls:
+        rows, cols, vals = [], [], []
+        b = np.empty(N)
+        for i in range(N):
+            x = nodes[i]
+            cost = float(spec.running_cost(x if spec.dim > 1 else x[0], u))
+            if cost < 0:
+                raise ValueError(f"running cost must be nonnegative, got {cost} at node {i}")
+            b[i] = h * cost
+            if decay == 0.0:
+                continue
+            drift = np.atleast_1d(np.asarray(spec.dynamics(x if spec.dim > 1 else x[0], u), dtype=float))
+            if drift.shape != (spec.dim,):
+                raise ValueError(f"dynamics must return a {spec.dim}-vector, got shape {drift.shape}")
+            y = x + h * drift
+            cells, fracs = [], []
+            for axis in range(spec.dim):
+                lo, hi, count = spec.axes[axis]
+                pos = (min(max(float(y[axis]), lo), hi) - lo) / steps[axis]
+                j = min(int(math.floor(pos)), counts[axis] - 2)
+                cells.append(j)
+                fracs.append(pos - j)
+            if spec.dim == 1:
+                j, t = cells[0], fracs[0]
+                w_hi = decay * t
+                entries = [(j, decay - w_hi), (j + 1, w_hi)]
+            else:
+                (j1, j2), (t1, t2) = cells, fracs
+                corners = [
+                    (j1 * counts[1] + j2, (1 - t1) * (1 - t2)),
+                    (j1 * counts[1] + j2 + 1, (1 - t1) * t2),
+                    ((j1 + 1) * counts[1] + j2, t1 * (1 - t2)),
+                    ((j1 + 1) * counts[1] + j2 + 1, t1 * t2),
+                ]
+                entries = [(idx, decay * w) for idx, w in corners]
+            entries = sorted((idx, w) for idx, w in entries if w > 0.0)
+            for idx, w in force_row_sum(entries, decay):
+                if w != 0.0:
+                    rows.append(i)
+                    cols.append(idx)
+                    vals.append(w)
+        pieces.append((sparse.coo_array((vals, (rows, cols)), shape=(N, N)), b))
+    return LinearGlbProblem(pieces, U=np.full(N, 1.0 / lam))

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import math
+import re
 import warnings
 from contextlib import nullcontext
 
@@ -39,8 +40,8 @@ from glbopt import (
     to_lp_form,
 )
 from glbopt.bench import SweepConfig, make_instance
-from glbopt.instances import _ScalarDraws, hjb_preset
-from suite_helpers import DEEP_DOCUMENTS
+from glbopt.instances import _ScalarDraws, _force_row_sums, hjb_preset
+from suite_helpers import DEEP_DOCUMENTS, force_row_sum, reference_hjb_grid_problem
 
 
 class TestGraphGenerators:
@@ -585,6 +586,44 @@ class TestHjbGrid:
         with pytest.raises(ValueError, match="nonnegative"):
             hjb_grid_problem(spec)
 
+    @pytest.mark.parametrize("cost, message", [
+        (math.nan, "running cost must be finite, got nan at node 2, control 1"),
+        (math.inf, "running cost must be finite, got inf at node 2, control 1"),
+        (-math.inf, "running cost must be nonnegative, got -inf at node 2"),
+    ])
+    def test_non_finite_running_cost_rejected(self, cost, message):
+        spec = HjbGridSpec(
+            axes=((-1.0, 1.0, 5),), controls=(0.0, 1.0),
+            dynamics=lambda x, u: u,
+            running_cost=lambda x, u: cost if (x, u[0]) == (0.0, 1.0) else 1.0,
+            discount=1.0, step=0.5,
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            hjb_grid_problem(spec)
+
+    def test_nan_drift_rejected(self):
+        spec = HjbGridSpec(
+            axes=((-1.0, 1.0, 3), (-1.0, 1.0, 3)), controls=((0.5, 0.0), (0.0, 0.5)),
+            dynamics=lambda x, u: np.array([u[0], math.nan if x[0] == x[1] == 0.0 else u[1]]),
+            running_cost=lambda x, u: 1.0,
+            discount=1.0, step=0.5,
+        )
+        with pytest.raises(ValueError, match=re.escape(
+                "dynamics returned NaN, got [0.5, nan] at node 4, control 0")):
+            hjb_grid_problem(spec)
+
+    @pytest.mark.parametrize("drift, corner", [(math.inf, 4), (-math.inf, 0)])
+    def test_infinite_drift_is_clamped_into_the_hull(self, drift, corner):
+        spec = HjbGridSpec(
+            axes=((-1.0, 1.0, 5),), controls=(drift,),
+            dynamics=lambda x, u: u, running_cost=lambda x, u: 1.0,
+            discount=1.0, step=0.5,
+        )
+        A = hjb_grid_problem(spec).pieces[0][0].toarray()
+        expected = np.zeros((5, 5))
+        expected[:, corner] = 0.5
+        assert np.array_equal(A, expected)
+
     def test_geometric_series_matches_reference(self):
         # lam h = 0.25: value = h / (lam h) clipped by cap 1/lam
         spec = const_hjb_spec(count=4, lam=2.0, h=0.125)
@@ -592,6 +631,148 @@ class TestHjbGrid:
         res = reference_solve(p)
         assert res.certified
         assert np.allclose(res.x_star, 0.5, atol=1e-11)  # cap 1/lam = 0.5 binds
+
+
+def _hjb_arrays(p):
+    """Every stored array of an HJB problem as (dtype, shape, bytes); meta left out."""
+    arrays = [p.U] + [arr for A, b in p.pieces for arr in (A.indptr, A.indices, A.data, b)]
+    return [(arr.dtype.str, arr.shape, arr.tobytes()) for arr in arrays]
+
+
+def _displacement(draw, step, width):
+    """One axis of a control's displacement: onto a node, onto the middle of a
+    cell, anywhere, or beyond the hull (infinitely so, too)."""
+    kind = draw(st.sampled_from(["node", "mid-cell", "any", "beyond"]))
+    if kind == "node":
+        return draw(st.integers(-3, 3)) * step
+    if kind == "mid-cell":
+        return (draw(st.integers(-3, 2)) + 0.5) * step
+    if kind == "any":
+        return draw(st.floats(-3.0, 3.0)) * step
+    return draw(st.sampled_from([-1.0, 1.0])) * draw(st.sampled_from([1.5 * width, math.inf]))
+
+
+@st.composite
+def hjb_spec_args(draw):
+    """Keyword arguments of a random 1D or 2D :class:`HjbGridSpec`, without
+    the callables: 2-40 points per axis, a quarter of them with
+    discount * step = 1 (decay zero), drifts as :func:`_displacement` draws
+    them plus an optional pull towards the origin."""
+    dim = draw(st.integers(1, 2))
+    axes = []
+    for _ in range(dim):
+        lo = draw(st.floats(-5.0, 5.0))
+        axes.append((lo, lo + draw(st.floats(0.1, 10.0)), draw(st.integers(2, 40 if dim == 1 else 25))))
+    if draw(st.integers(0, 3)) == 0:
+        lam = draw(st.sampled_from([0.5, 1.0, 2.0, 4.0]))
+        h = 1.0 / lam
+    else:
+        lam = draw(st.floats(0.05, 5.0))
+        h = draw(st.floats(0.01, 1.0)) / lam
+    controls = [
+        tuple(_displacement(draw, (hi - lo) / (count - 1), hi - lo) / h for lo, hi, count in axes)
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return {"axes": tuple(axes), "controls": tuple(controls), "discount": lam, "step": h,
+            "pull": draw(st.sampled_from([0.0, 0.3])), "weight": draw(st.floats(0.0, 4.0)),
+            "floor": draw(st.floats(0.0, 1.0))}
+
+
+def _hjb_spec(args, cost=None, dynamics=None):
+    """The spec of ``hjb_spec_args``: quadratic running cost, drift ``u - pull * x``;
+    ``cost`` and ``dynamics`` replace the callables."""
+    args = dict(args)
+    pull, weight, floor = args.pop("pull"), args.pop("weight"), args.pop("floor")
+    return HjbGridSpec(
+        **args,
+        dynamics=dynamics or (lambda x, u: u - pull * x),
+        running_cost=cost or (lambda x, u: floor + weight * float(np.sum(np.square(x)))),
+    )
+
+
+class _Fault(LookupError):
+    """Raised by a faulty callable."""
+
+
+def _faulty_callables(args, faults):
+    """Cost and dynamics callables that count their calls and, at the calls
+    named in ``faults`` (``{(callable, call number): kind}``), misbehave."""
+    base = _hjb_spec(args)
+    calls = {"cost": 0, "drift": 0}
+
+    def wrap(name, fn):
+        def faulty(x, u):
+            k = calls[name]
+            calls[name] += 1
+            kind = faults.get((name, k))
+            if kind == "raise":
+                raise _Fault(f"{name} call {k}")
+            if kind == "negative":
+                return -1.0
+            if kind == "shape":
+                return np.zeros(len(args["axes"]) + 1)
+            return fn(x, u)
+        return faulty
+
+    return wrap("cost", base.running_cost), wrap("drift", base.dynamics)
+
+
+class TestHjbBuilderMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(hjb_spec_args())
+    def test_pieces_are_bit_identical(self, args):
+        spec = _hjb_spec(args)
+        assert _hjb_arrays(hjb_grid_problem(spec)) == _hjb_arrays(reference_hjb_grid_problem(spec))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1e-3, 1.0), st.integers(1, 4), st.data())
+    def test_row_sums_are_forced_as_row_by_row(self, target, K, data):
+        # weights that need ulp steps or drops: some far below target, some a
+        # few ulps, some negative or zero
+        weight = st.one_of(
+            st.floats(-target, target),
+            st.floats(0.0, target).map(lambda w: target - w),
+            st.integers(-4, 64).map(lambda k: target * 2.0 ** -k),
+            st.integers(0, 40).map(lambda k: k * math.ulp(target)),
+        )
+        weights = np.array(data.draw(st.lists(st.lists(weight, min_size=K, max_size=K),
+                                              min_size=1, max_size=12)))
+        N = len(weights)
+        cols = np.arange(N * K).reshape(N, K)
+        rows, out_cols, vals = [], [], []
+        for i in range(N):
+            entries = [(int(c), float(w)) for c, w in zip(cols[i], weights[i]) if w > 0.0]
+            for c, w in force_row_sum(entries, target):
+                rows.append(i)
+                out_cols.append(c)
+                vals.append(w)
+        forced, (forced_rows, forced_cols) = _force_row_sums(cols, weights, target)
+        assert forced_rows.tolist() == rows and forced_cols.tolist() == out_cols
+        assert forced.tobytes() == np.array(vals, dtype=float).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(hjb_spec_args(), st.data())
+    def test_first_faulty_node_is_named(self, args, data):
+        # the node-by-node reference stops at the first fault, checking a
+        # node's cost before calling its dynamics
+        calls = len(args["controls"]) * math.prod(count for _, _, count in args["axes"])
+        fault = st.one_of(
+            st.tuples(st.just("cost"), st.sampled_from(["negative", "raise"])),
+            st.tuples(st.just("drift"), st.sampled_from(["shape", "raise"])),
+        )
+        faults = {}
+        for name, kind in data.draw(st.lists(fault, min_size=1, max_size=3)):
+            faults[name, data.draw(st.integers(0, calls - 1))] = kind
+        errors = []
+        for build in (hjb_grid_problem, reference_hjb_grid_problem):
+            cost, dynamics = _faulty_callables(args, faults)
+            try:
+                build(_hjb_spec(args, cost, dynamics))
+            except (ValueError, _Fault) as exc:
+                errors.append((type(exc), str(exc)))
+            else:
+                errors.append(None)
+        assert errors[0] == errors[1]
 
 
 class TestDominantDiagonalGenerator:
@@ -735,6 +916,16 @@ class TestInstanceFiles:
              "piece 1 offset b entry 0: integer beyond"),
             (json.dumps({"n": 2, "pieces": [{"A": [[0, 1, 0.5], [1, 0, 10**400]], "b": [0.0, 0.0]}],
                          "U": [1.0, 1.0]}), r"piece 1, entry 1: integer beyond"),
+            # the NaN, Infinity and -Infinity tokens Python's parser accepts
+            ('{"n": 2, "pieces": [], "U": [1.0, NaN]}', "U entry 1: non-finite value nan"),
+            ('{"n": 2, "pieces": [], "U": [1.0, 1.0], "a": [-Infinity, 0.0]}',
+             "a entry 0: non-finite value -inf"),
+            ('{"n": 2, "pieces": [{"A": [], "b": [0.0, Infinity]}], "U": [1.0, 1.0]}',
+             "piece 1 offset b entry 1: non-finite value inf"),
+            ('{"n": 2, "pieces": [{"A": [[0, 1, 0.5], [1, 0, NaN]], "b": [0.0, 0.0]}], '
+             '"U": [1.0, 1.0]}', "piece 1, entry 1: non-finite value nan"),
+            ('{"n": 2, "pieces": [{"A": [[0, 1, Infinity]], "b": [0.0, 0.0]}], "U": [1.0, 1.0]}',
+             "piece 1, entry 0: non-finite value inf"),
         ]
         for text, message in cases:
             path = tmp_path / "doc.json"
@@ -883,6 +1074,9 @@ def _corrupt(kind, entry, n, data):
     elif kind == "beyond float":
         entry[2] = 10**400
         return entry, "integer beyond the float range"
+    elif kind == "non-finite":
+        entry[2] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        return entry, "non-finite value"
     elif kind == "wrong arity":
         return data.draw(st.sampled_from([entry[:2], entry + [0.0], []])), _NOT_A_TRIPLET
     elif kind == "not a list":
@@ -915,7 +1109,7 @@ class TestLoader:
 
     @pytest.mark.parametrize("kind", [
         "bool", "numeric string", "float index", "index n", "negative index",
-        "index beyond int64", "beyond float", "wrong arity", "not a list"])
+        "index beyond int64", "beyond float", "non-finite", "wrong arity", "not a list"])
     @settings(max_examples=30, deadline=None)
     @given(doc=instance_documents(min_entries=1), data=st.data())
     def test_corrupt_entry_is_named(self, tmp_path_factory, kind, doc, data):
@@ -929,7 +1123,8 @@ class TestLoader:
             load_instance(path)
 
     @settings(max_examples=100, deadline=None)
-    @given(instance_documents(), st.sampled_from([True, "1.0", 10**400]), st.data())
+    @given(instance_documents(), st.sampled_from([True, "1.0", 10**400, math.nan, -math.inf]),
+           st.data())
     def test_corrupt_vector_entry_is_named(self, tmp_path_factory, doc, bad, data):
         where = data.draw(st.sampled_from(["U", "a", *range(doc["L"])]))
         if where in ("U", "a"):
@@ -940,7 +1135,12 @@ class TestLoader:
         vector[k] = bad
         path = tmp_path_factory.mktemp("doc") / "doc.json"
         path.write_text(json.dumps(doc))
-        message = "integer beyond" if bad == 10**400 else "expected a number"
+        if bad == 10**400:
+            message = "integer beyond"
+        elif isinstance(bad, float):
+            message = "non-finite value"
+        else:
+            message = "expected a number"
         with pytest.raises(InstanceFormatError, match=rf"{name} entry {k}: {message}"):
             load_instance(path)
 
