@@ -727,7 +727,9 @@ def _checked_node_values(spec: HjbGridSpec, k: int, costs: list, drifts: list):
             if d.shape != (dim,):
                 raise ValueError(f"dynamics must return a {dim}-vector, got shape {d.shape}")
             if np.isnan(d).any():
-                raise ValueError(f"dynamics returned NaN, got {d.tolist()} at node {i}, control {k}")
+                raise ValueError(
+                    f"dynamics returned NaN, got {d.tolist()} at node {i}, control {k}"
+                )
             drift[i] = d
     return cost, drift
 
@@ -923,9 +925,9 @@ def _triplets(entries: list, n: int, ell: int, path) -> tuple[np.ndarray, np.nda
     """Row, column and value arrays of a piece's ``[row, col, value]`` entries.
 
     Checked per column: entry types and lengths, then the types of each
-    column, then the index range and the float conversion on whole arrays.
-    Only when a check fails does the entry-by-entry loop run, to name the
-    first bad entry.
+    column, then the index range, the float conversion and the finiteness
+    of the values on whole arrays.  Only when a check fails does the
+    entry-by-entry loop run, to name the first bad entry.
     """
     if set(map(type, entries)) <= {list} and set(map(len, entries)) <= {3}:
         rows, cols, vals = zip(*entries) if entries else ((), (), ())
