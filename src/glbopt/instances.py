@@ -768,9 +768,29 @@ def _force_row_sums(cols: np.ndarray, weights: np.ndarray, target: float):
     that the ascending sequential float sum of the row equals ``target > 0``
     exactly: the summation order of a sparse row-times-ones product.
 
-    The adjustment takes at most 64 ulp steps; a row whose last weight
-    cannot absorb it within them, without reaching zero, drops that entry
-    and tries again with the one before.
+    The last weight becomes ``last = fl(target - prefix)``, where ``prefix``
+    is the float sum of the weights before it.  A row keeps it when ``last >
+    0`` and ``fl(prefix + last) == target``; otherwise it drops that entry
+    and tries again with the one before.  The node-by-node reference in the
+    tests also tries up to 64 ulp steps of ``last`` after that check.  None
+    can succeed, so one comparison decides.  Let ``0 < prefix < target``
+    (else ``last <= 0``, or ``prefix == 0`` and ``last == target`` passes):
+
+    * ``prefix >= target/2``: by Sterbenz's lemma ``target - prefix`` is
+      exact, so ``prefix + last == target`` exactly and the check passes.
+    * ``prefix < target/2``: ``d = target - prefix`` lies in ``(target/2,
+      target)``, so its ulp is at most the spacing of floats on either side
+      of ``target`` (below a power of two the spacing halves, and so does
+      the ulp of ``d``).  ``prefix + last`` is ``target + (last - d)`` with
+      ``|last - d| <= ulp(d)/2``, within half a spacing of ``target``, so it
+      rounds to ``target`` unless it is a tie that rounds to even away from
+      it.  Such a tie needs a ``target`` whose last significand bit is 1,
+      so not a power of two, with spacing ``ulp(target)`` on both sides,
+      and ``ulp(d) == ulp(target)``.  Then ``last`` lies in the binade of
+      ``target``, where the ulp step the reference takes is one spacing: it
+      moves the sum to the mirror tie on the other side of ``target``,
+      which also rounds to the even neighbour, and the next step moves it
+      back.
     """
     N, K = weights.shape
     keep = weights > 0.0
@@ -784,17 +804,7 @@ def _force_row_sums(cols: np.ndarray, weights: np.ndarray, target: float):
         prefix = np.add.accumulate(weights[rows], axis=1)  # sequential, left to right
         prefix = np.where(c >= 2, prefix[np.arange(rows.size), np.maximum(c - 2, 0)], 0.0)
         last = target - prefix
-        live, ok = last > 0.0, np.zeros(rows.size, dtype=bool)
-        for _ in range(64):
-            if not live.any():
-                break
-            total = prefix + last
-            hit = live & (total == target)
-            ok |= hit
-            live &= ~hit
-            toward = np.where(total < target, np.inf, -np.inf)
-            last = np.where(live, np.nextafter(last, toward), last)
-            live &= last > 0.0
+        ok = (last > 0.0) & (prefix + last == target)
         weights[rows[ok], c[ok] - 1] = last[ok]
         rows = rows[~ok]
         count[rows] -= 1
@@ -806,24 +816,55 @@ def _force_row_sums(cols: np.ndarray, weights: np.ndarray, target: float):
 # -- instance files -----------------------------------------------------------
 
 
-_TRIPLET = "\n    [\n     %d,\n     %d,\n     %r\n    ]"
 _CHUNK = 4096  # triplets formatted and written at a time
+# the text before a triplet's row, column and value at nesting depth 4 of
+# json.dump(..., indent=1): before the first triplet of a piece, before each
+# later one, and between two scalars
+_OPEN, _NEXT, _ITEM = "\n    [\n     ", "\n    ],\n    [\n     ", ",\n     "
+
+
+def _float_text(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(text, where)`` with ``text[where[k]] == repr(values[k])``: ``text``
+    is an object array holding one ``repr`` per distinct bit pattern, so
+    ``-0.0`` keeps its own text apart from ``0.0``."""
+    bits, where = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object), where
 
 
 def _json_list(values: np.ndarray, depth: int) -> str:
     """A float vector laid out as ``json.dump(..., indent=1)`` lays out its
-    list at nesting ``depth``: one ``repr`` per line.
-
-    ``repr`` runs once per distinct bit pattern, not per entry, so ``-0.0``
-    keeps its own text apart from ``0.0``.
+    list at nesting ``depth``: one ``repr`` per line, from :func:`_float_text`.
     """
     if not values.size:
         return "[]"
-    bits, where = np.unique(values.view(np.int64), return_inverse=True)
-    text = list(map(repr, bits.view(np.float64).tolist()))
+    text, where = _float_text(values)
     pad = "\n" + " " * (depth + 1)
-    lines = ("," + pad).join(map(text.__getitem__, where.tolist()))
-    return "[" + pad + lines + "\n" + " " * depth + "]"
+    return "[" + pad + ("," + pad).join(text[where].tolist()) + "\n" + " " * depth + "]"
+
+
+def _write_triplets(fh, A: sparse.csr_array, index: np.ndarray) -> None:
+    """Write the triplets of a stored piece, each as ``json.dump(...,
+    indent=1)`` lays out a list at nesting depth 4, from ``_CHUNK`` rows of
+    six tokens: separator, row, ``_ITEM``, column, ``_ITEM``, value.
+
+    ``index`` holds ``str(i)`` for every index ``i``; values take their text
+    from :func:`_float_text`.  One object array is filled by slice assignment
+    from those tables and written with one ``"".join`` per chunk.
+    """
+    coo = A.tocoo()  # row-major: pieces are canonical CSR
+    rows, cols = coo.row, coo.col
+    text, where = _float_text(coo.data)
+    tokens = np.empty((min(_CHUNK, rows.size), 6), dtype=object)
+    tokens[:, 0], tokens[:, 2], tokens[:, 4] = _NEXT, _ITEM, _ITEM
+    tokens[0, 0] = _OPEN
+    for start in range(0, rows.size, _CHUNK):
+        chunk = slice(start, start + _CHUNK)
+        block = tokens[: rows[chunk].size]
+        block[:, 1] = index[rows[chunk]]
+        block[:, 3] = index[cols[chunk]]
+        block[:, 5] = text[where[chunk]]
+        fh.write("".join(block.ravel().tolist()))
+        tokens[0, 0] = _NEXT
 
 
 def save_instance(p: LinearGlbProblem, path) -> None:
@@ -832,24 +873,32 @@ def save_instance(p: LinearGlbProblem, path) -> None:
     The document is streamed in exactly the layout of ``json.dump(doc, fh,
     indent=1)`` plus a final newline: one scalar per line, triplets in the
     canonical CSR order each piece is stored in (row-major, columns
-    ascending), floats by ``repr``.  Triplets are formatted and written
-    ``_CHUNK`` at a time, so no per-entry Python objects outlive a chunk.
+    ascending), floats by ``repr``.
+
+    The text comes from tables of distinct tokens: ``str(i)`` once per index
+    for the whole save, and ``repr`` once per distinct bit pattern of each
+    vector and of each piece's values (:func:`_float_text`).  Triplets are
+    assembled and written ``_CHUNK`` at a time (:func:`_write_triplets`), so
+    no per-entry Python objects outlive a chunk.  On a 2-vCPU shared
+    machine (Python 3.11, numpy 2.4) a speed-planning instance at n=20000,
+    whose 39998 stored values are all 1.0, saves in 13-19 ms instead of
+    36-51 ms by one ``%``-format per triplet, and HJB drift1d at 1001
+    points in 3-5 ms instead of 8-11 ms.  BA at n=5000 has 199800 distinct
+    values, so ``repr`` itself is the floor there (medians 310-370 ms
+    against 340-460 ms).
     """
     # encoded before the file is opened, so a meta json cannot encode leaves
     # no partial file; json escapes newlines inside strings, so every newline
     # in the text is layout and takes the one extra space of nesting
     meta = json.dumps(p.meta, indent=1).replace("\n", "\n ")
+    index = np.array(list(map(str, range(p.n))), dtype=object)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{\n "n": %d,\n "L": %d,\n "pieces": [' % (p.n, p.L))
         for ell, (A, b) in enumerate(p.pieces):
             fh.write(',\n  {\n   "A": [' if ell else '\n  {\n   "A": [')
-            coo = A.tocoo()  # row-major: pieces are canonical CSR
-            rows, cols, vals = coo.row, coo.col, coo.data
-            for start in range(0, vals.size, _CHUNK):
-                chunk = slice(start, start + _CHUNK)
-                triplets = zip(rows[chunk].tolist(), cols[chunk].tolist(), vals[chunk].tolist())
-                fh.write(("," if start else "") + ",".join(map(_TRIPLET.__mod__, triplets)))
-            fh.write("\n   ],\n" if vals.size else "],\n")
+            if A.nnz:
+                _write_triplets(fh, A, index)
+            fh.write("\n    ]\n   ],\n" if A.nnz else "],\n")
             fh.write('   "b": ' + _json_list(b, 3) + "\n  }")
         fh.write("\n ],\n" if p.L else "],\n")
         fh.write(' "U": ' + _json_list(p.U, 1) + ",\n")

@@ -38,6 +38,10 @@ from suite_helpers import random_suite
 
 EPS_SUITE = 1e-8
 SUITE_SIZE = 200
+# Counted work of criterion 01's 2000 runs, scalar_multiplications plus
+# verify_multiplications: 12,051,906 when the budget was set, so it leaves
+# 8% headroom.  Counts do not move with the machine's load, as the clock does.
+WORK_BUDGET_01 = 13_000_000
 COMBOS = [("fixed-plain", "-"), ("fixed-precond", "-")] + [
     (method, policy)
     for method in ("selective-plain", "selective-precond")
@@ -84,10 +88,12 @@ def test_criterion_01_oracle_equivalence():
         assert dist <= bound, (
             f"instance {idx} ({method}/{policy}): |x - x*| = {dist:.3e} > {bound:.3e}"
         )
-    ok = worst <= 1.0 and elapsed < 10.0
+    work = sum(r.scalar_multiplications + r.verify_multiplications for r in results.values())
+    ok = worst <= 1.0 and work <= WORK_BUDGET_01
     _report(1, ok, f"oracle equivalence on {len(results)} runs, worst dist/bound "
-                   f"{worst:.3f}, runtime {elapsed:.2f}s < 10s")
-    assert elapsed < 10.0, f"runtime {elapsed:.2f}s exceeds the 10s budget"
+                   f"{worst:.3f}, {work} multiplications <= {WORK_BUDGET_01}, "
+                   f"runtime {elapsed:.2f}s")
+    assert work <= WORK_BUDGET_01, f"{work} multiplications exceed the budget of {WORK_BUDGET_01}"
 
 
 def brute_force_instances():

@@ -217,12 +217,16 @@ class TestCli:
         assert json.loads(out_path.read_text())["verify_multiplications"] == expected
 
     def test_solve_infeasible_exits_two(self, tmp_path, two_var, capsys):
-        shifted = LinearGlbProblem(
-            [(A, b) for A, b in two_var.pieces], U=two_var.U, a=np.array([3.0, 3.0])
-        )
-        path = tmp_path / "infeasible.json"
-        save_instance(shifted, path)
-        assert main(["solve", str(path)]) == 2
+        # a above the top fixed point (2, 2), and a above the cap U = (10, 10):
+        # a file with a_i > U_i loads and is an infeasible problem, not a
+        # format error
+        for a in ([3.0, 3.0], [0.0, 11.0]):
+            shifted = LinearGlbProblem(
+                [(A, b) for A, b in two_var.pieces], U=two_var.U, a=np.array(a)
+            )
+            path = tmp_path / "infeasible.json"
+            save_instance(shifted, path)
+            assert main(["solve", str(path)]) == 2, a
 
     def test_solve_malformed_file_exits_one(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

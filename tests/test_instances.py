@@ -40,7 +40,7 @@ from glbopt import (
     to_lp_form,
 )
 from glbopt.bench import SweepConfig, make_instance
-from glbopt.instances import _ScalarDraws, _force_row_sums, hjb_preset
+from glbopt.instances import _CHUNK, _ScalarDraws, _force_row_sums, hjb_preset
 from suite_helpers import DEEP_DOCUMENTS, force_row_sum, reference_hjb_grid_problem
 
 
@@ -951,7 +951,9 @@ class TestInstanceFiles:
         save_instance(p, path)
         assert path.read_bytes() == ref.read_bytes()
 
-    @pytest.mark.parametrize("case", ["n0", "L0", "empty_piece", "awkward_floats", "meta"])
+    @pytest.mark.parametrize("case", ["n0", "L0", "empty_piece", "awkward_floats", "meta",
+                                      "chunk-1", "chunk", "chunk+1", "one_value",
+                                      "exponent_floats", "five_digit_indices"])
     def test_save_matches_json_dump_on_edge_cases(self, case, tmp_path):
         awkward = [-0.0, 5e-324, 1e-300, 1e16, 1.0000000000000002]
         if case == "n0":
@@ -969,6 +971,34 @@ class TestInstanceFiles:
             A[1, 0] = -0.0
             A[2, 4], A[4, 2] = awkward[4], awkward[1]
             p = LinearGlbProblem([(A, np.array(awkward))], U=awkward[::-1], a=awkward)
+        elif case.startswith("chunk"):
+            # a piece that ends just before, on and just after a chunk seam,
+            # then a small piece that opens its list afresh
+            size = _CHUNK + {"chunk-1": -1, "chunk": 0, "chunk+1": 1}[case]
+            rng = np.random.default_rng(size)
+            n = 100
+            cells = rng.choice(n * n, size=size, replace=False)
+            A = sparse.coo_array((rng.uniform(0.0, 0.9, size), np.divmod(cells, n)), shape=(n, n))
+            B = sparse.coo_array(([0.5, 0.25], ([0, 99], [99, 0])), shape=(n, n))
+            p = LinearGlbProblem([(A, rng.uniform(0.0, 1.0, n)), (B, np.zeros(n))],
+                                 U=np.full(n, 5.0))
+        elif case == "one_value":
+            # every stored value and every vector entry shares one bit pattern
+            n = _CHUNK + 7
+            A = sparse.diags_array([np.ones(n - 1), np.ones(n - 1)], offsets=[-1, 1])
+            p = LinearGlbProblem([(A, np.ones(n))], U=np.ones(n), a=np.ones(n))
+        elif case == "exponent_floats":
+            # values that repr writes in exponent form
+            exponent = [1e-05, 1e16, 5e-324]
+            A = np.zeros((3, 3))
+            A[0, 1], A[1, 2], A[2, 0] = exponent
+            p = LinearGlbProblem([(A, np.array(exponent))], U=exponent[::-1],
+                                 a=[5e-324, 0.0, 1e-05])
+        elif case == "five_digit_indices":
+            n = 10_001
+            A = sparse.coo_array(([0.5, 0.25, 0.125, 0.75], ([0, 9_999, 10_000, 10_000],
+                                                           [10_000, 0, 9, 9_999])), shape=(n, n))
+            p = LinearGlbProblem([(A, np.full(n, 0.5))], U=np.arange(n, dtype=float) + 1.0)
         else:
             meta = {
                 "name": "Zürich \"quoted\"\nsecond line\ttab \u2713 \\",
