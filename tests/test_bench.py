@@ -283,6 +283,17 @@ class TestCli:
         (["--family", "hjb", "--preset", "spin2d", "--n", "21", "--discount", "0.95",
           "--step", "0.5"],
          "cf1529c1ecf92242a8bd71f3f8f744787de7cc9a32ef5d8eb1f68041777ed4cd"),
+        (["--family", "nws", "--n", "60", "--seed", "2", "--graph-k", "4", "--graph-p", "0.1"],
+         "28133d25036acd3662de7ca9628bf92d3b483707cd2c0d8816db4cace3b0fda1"),
+        (["--family", "hk", "--n", "60", "--seed", "3", "--graph-m", "3", "--graph-p", "0.5"],
+         "d164c14ae761cff8fb38a61c03d223074fb6bb751051df63366f74daf616a4d7"),
+        (["--family", "ba", "--n", "80", "--pieces", "2", "--max-coeff", "0.3",
+          "--max-offset", "2", "--cap", "50"],
+         "17da3e4567daf6e9124882bd2c9d0fd529813bd40edeb2993a299450a601fda9"),
+        (["--family", "speedplan", "--n", "50", "--path-length", "7.5", "--acc-t", "2"],
+         "f7f3ffaf8e990b370a8f557f11406e0eb126ef7499018ac6994d822d572e1e61"),
+        (["--family", "hjb", "--n", "31"],  # the default preset, const1d
+         "704a56bfbafa8fd3431a000f85fd626691614cf3fec7556285c887bc80d3ebd6"),
     ])
     def test_gen_file_bytes_are_pinned(self, argv, digest, tmp_path, capsys):
         # the instance file layout is a contract: same bytes for the same arguments
@@ -292,6 +303,13 @@ class TestCli:
         argv = [str(csv_path) if arg == "CSV" else arg for arg in argv]
         assert main(["gen", *argv, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_gen_parameter_of_another_family_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "inst.json"
+        assert main(["gen", "--family", "ba", "--n", "20", "--graph-k", "4",
+                     "--out", str(out)]) == 1
+        assert "unknown parameters for family 'ba'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_gen_speedplan_from_csv_pipeline(self, tmp_path, capsys):
         csv_path = tmp_path / "curv.csv"
