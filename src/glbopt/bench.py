@@ -14,15 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instances import (
-    SpeedPlanSpec,
-    gen_graph,
-    hjb_grid_problem,
-    hjb_preset,
-    load_instance,
-    random_linear_problem,
-    speed_planning_problem,
-)
+from . import instances
+# hjb_preset is re-exported: perfbench/workload.py builds its HJB specs through bench
+from .instances import hjb_preset, load_instance
 from .lattice import SolveReport
 from .linear import (
     LinearGlbProblem,
@@ -35,7 +29,9 @@ from .queues import POLICIES
 
 METHODS = ("fixed-plain", "fixed-precond", "selective-plain", "selective-precond")
 SELECTIVE_METHODS = ("selective-plain", "selective-precond")
-FAMILIES = ("ba", "nws", "hk", "speedplan", "hjb", "file")
+FAMILIES = instances.FAMILIES + ("file",)
+# work cap of every method, in full sweeps (see solve_with_method)
+MAX_ITER = 100_000
 
 SWEEP_COLUMNS = (
     "family", "n", "L", "seed", "method", "policy", "eps", "wall_time",
@@ -45,17 +41,13 @@ SWEEP_COLUMNS = (
 # the SolveReport counters among the columns, zero in a failed run's row
 _COUNTERS = ("scalar_multiplications", "component_updates", "dequeues", "verify_multiplications")
 
-# Fixed parameters of the speedplan and hjb sweep families.
-SPEEDPLAN = {"v_max": 5.0, "acc_t": 1.0, "acc_n": 1.0}
-HJB = {"preset": "drift1d", "discount": 1.0, "step": 0.5}
-
 
 def solve_with_method(
     problem: LinearGlbProblem,
     method: str,
     policy: str = "fifo",
     eps: float = 1e-9,
-    max_iter: int = 100_000,
+    max_iter: int = MAX_ITER,
 ) -> SolveReport:
     """Dispatch one solver run.
 
@@ -93,7 +85,7 @@ class SweepConfig:
     methods: tuple[str, ...] = METHODS
     time_budget: float | None = None
     instance_path: str | None = None
-    max_iter: int = 100_000
+    max_iter: int = MAX_ITER
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -113,34 +105,14 @@ class SweepConfig:
 
 
 def make_instance(config: SweepConfig, n: int, seed: int) -> LinearGlbProblem:
-    """Instantiate one problem of the configured family at size ``n``."""
-    family = config.family
-    if family in ("ba", "nws", "hk"):
-        graphs = [
-            gen_graph(family, n, seed=(seed, ell)) for ell in range(config.pieces)
-        ]
-        return random_linear_problem(
-            graphs,
-            max_coeff=config.max_coeff,
-            max_offset=config.max_offset,
-            cap=config.cap,
-            seed=seed,
-        )
-    if family == "speedplan":
-        spec = SpeedPlanSpec(
-            path_length=float(n - 1),
-            samples=n,
-            curvature=np.zeros(n),
-            v_max=SPEEDPLAN["v_max"],
-            acc_tangential=SPEEDPLAN["acc_t"],
-            acc_normal=SPEEDPLAN["acc_n"],
-        )
-        return speed_planning_problem(spec)
-    if family == "hjb":
-        return hjb_grid_problem(hjb_preset(HJB["preset"], n, HJB["discount"], HJB["step"]))
-    if family == "file":
+    """Instantiate one problem of the configured family at size ``n``: what
+    ``glbopt gen`` builds at its defaults, except preset drift1d for const1d."""
+    if config.family == "file":
         return load_instance(config.instance_path)
-    raise ValueError(f"unknown family {family!r}")
+    return instances.generate(
+        config.family, n, seed, pieces=config.pieces, max_coeff=config.max_coeff,
+        max_offset=config.max_offset, cap=config.cap, preset="drift1d",
+    )
 
 
 def _combos(config: SweepConfig):

@@ -13,20 +13,8 @@ import functools
 import json
 import sys
 
-import numpy as np
-
 from . import bench
-from .instances import (
-    gen_graph,
-    load_instance,
-    random_linear_problem,
-    save_instance,
-    speed_plan_spec_from_csv,
-    SpeedPlanSpec,
-    hjb_grid_problem,
-    hjb_preset,
-    speed_planning_problem,
-)
+from .instances import FAMILIES, generate, load_instance, save_instance
 from .lattice import NonConvergenceError
 from .linear import write_lp
 from .oracle import verify_epsilon_solution
@@ -35,6 +23,10 @@ from .queues import POLICIES
 
 class CliError(Exception):
     pass
+
+
+_MAX_ITER_HELP = ("work cap in full sweeps; selective methods stop "
+                  "after max-iter * n component updates")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,35 +39,34 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="glbopt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", parents=[], help="generate an instance file")
-    gen.add_argument("--family", required=True, choices=("ba", "nws", "hk", "speedplan", "hjb"))
+    # only the flags given reach instances.generate, whose signature holds the defaults
+    gen = sub.add_parser("gen", argument_default=argparse.SUPPRESS, help="generate an instance file")
+    gen.add_argument("--family", required=True, choices=FAMILIES)
     gen.add_argument("--n", type=int, required=True, help="variables / samples / grid points")
-    gen.add_argument("--seed", type=int, default=1)
+    gen.add_argument("--seed", type=int)
     gen.add_argument("--out", required=True)
-    gen.add_argument("--pieces", type=int, default=4, help="number of affine pieces (graph families)")
-    gen.add_argument("--max-coeff", type=float, default=0.5)
-    gen.add_argument("--max-offset", type=float, default=1.0)
-    gen.add_argument("--cap", type=float, default=1e5)
-    gen.add_argument("--graph-m", type=int, default=None, help="attachment count (ba/hk)")
-    gen.add_argument("--graph-k", type=int, default=None, help="ring degree (nws)")
-    gen.add_argument("--graph-p", type=float, default=None, help="shortcut/triangle probability")
-    gen.add_argument("--curvature-csv", default=None, help="speedplan: two-column (s, k) CSV")
-    gen.add_argument("--path-length", type=float, default=None, help="speedplan: s_f for flat curvature")
-    gen.add_argument("--v-max", type=float, default=5.0)
-    gen.add_argument("--acc-t", type=float, default=1.0)
-    gen.add_argument("--acc-n", type=float, default=1.0)
-    gen.add_argument("--preset", default="const1d", help="hjb: const1d, drift1d or spin2d")
-    gen.add_argument("--discount", type=float, default=1.0, help="hjb: rate lambda")
-    gen.add_argument("--step", type=float, default=0.5, help="hjb: integration step h")
+    gen.add_argument("--pieces", type=int, help="number of affine pieces (graph families)")
+    gen.add_argument("--max-coeff", type=float)
+    gen.add_argument("--max-offset", type=float)
+    gen.add_argument("--cap", type=float)
+    gen.add_argument("--graph-m", type=int, help="attachment count (ba/hk)")
+    gen.add_argument("--graph-k", type=int, help="ring degree (nws)")
+    gen.add_argument("--graph-p", type=float, help="shortcut/triangle probability")
+    gen.add_argument("--curvature-csv", help="speedplan: two-column (s, k) CSV")
+    gen.add_argument("--path-length", type=float, help="speedplan: s_f for flat curvature")
+    gen.add_argument("--v-max", type=float)
+    gen.add_argument("--acc-t", type=float)
+    gen.add_argument("--acc-n", type=float)
+    gen.add_argument("--preset", help="hjb: const1d, drift1d or spin2d")
+    gen.add_argument("--discount", type=float, help="hjb: rate lambda")
+    gen.add_argument("--step", type=float, help="hjb: integration step h")
 
     solve = sub.add_parser("solve", help="solve an instance file")
     solve.add_argument("instance")
     solve.add_argument("--method", default="selective-precond", choices=bench.METHODS)
     solve.add_argument("--policy", default="fifo", choices=POLICIES)
     solve.add_argument("--eps", type=float, default=1e-9)
-    solve.add_argument("--max-iter", type=int, default=100_000,
-                       help="work cap in full sweeps; selective methods stop "
-                            "after max-iter * n component updates")
+    solve.add_argument("--max-iter", type=int, default=bench.MAX_ITER, help=_MAX_ITER_HELP)
     solve.add_argument("--out", default=None, help="write the solution report as JSON")
 
     sweep = sub.add_parser("sweep", help="run a benchmark sweep, write CSV")
@@ -92,9 +83,7 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--reps", type=int, default=5)
     sweep.add_argument("--seed", type=int, default=1)
     sweep.add_argument("--time-budget", type=float, default=None, help="seconds per run")
-    sweep.add_argument("--max-iter", type=int, default=100_000,
-                       help="work cap in full sweeps; selective methods stop "
-                            "after max-iter * n component updates")
+    sweep.add_argument("--max-iter", type=int, default=bench.MAX_ITER, help=_MAX_ITER_HELP)
     sweep.add_argument("--out", required=True)
 
     export = sub.add_parser("export-lp", help="write the CPLEX-LP reformulation")
@@ -104,39 +93,8 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_gen(args) -> int:
-    if args.family in ("ba", "nws", "hk"):
-        params = {}
-        if args.graph_m is not None:
-            params["m"] = args.graph_m
-        if args.graph_k is not None:
-            params["k"] = args.graph_k
-        if args.graph_p is not None:
-            params["p"] = args.graph_p
-        graphs = [
-            gen_graph(args.family, args.n, seed=(args.seed, ell), **params)
-            for ell in range(args.pieces)
-        ]
-        problem = random_linear_problem(
-            graphs, max_coeff=args.max_coeff, max_offset=args.max_offset,
-            cap=args.cap, seed=args.seed,
-        )
-    elif args.family == "speedplan":
-        if args.curvature_csv:
-            spec = speed_plan_spec_from_csv(
-                args.curvature_csv, args.n, args.v_max, args.acc_t, args.acc_n
-            )
-        else:
-            spec = SpeedPlanSpec(
-                path_length=args.path_length if args.path_length is not None else float(args.n - 1),
-                samples=args.n,
-                curvature=np.zeros(args.n),
-                v_max=args.v_max,
-                acc_tangential=args.acc_t,
-                acc_normal=args.acc_n,
-            )
-        problem = speed_planning_problem(spec)
-    else:  # hjb
-        problem = hjb_grid_problem(hjb_preset(args.preset, args.n, args.discount, args.step))
+    params = {key: value for key, value in vars(args).items() if key not in ("command", "out")}
+    problem = generate(**params)
     save_instance(problem, args.out)
     print(f"wrote {args.out}: n={problem.n}, L={problem.L}, nnz={problem.total_nnz}")
     return 0

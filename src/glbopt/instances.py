@@ -813,6 +813,72 @@ def _force_row_sums(cols: np.ndarray, weights: np.ndarray, target: float):
     return weights[stored], (np.repeat(np.arange(N), count), cols[stored])
 
 
+# -- named families -----------------------------------------------------------
+
+FAMILIES = GRAPH_TAGS + ("speedplan", "hjb")
+
+
+def generate(
+    family: str,
+    n: int,
+    seed: int = 1,
+    *,
+    pieces: int = 4,
+    max_coeff: float = 0.5,
+    max_offset: float = 1.0,
+    cap: float = 1e5,
+    graph_m: int | None = None,
+    graph_k: int | None = None,
+    graph_p: float | None = None,
+    curvature_csv=None,
+    path_length: float | None = None,
+    v_max: float = 5.0,
+    acc_t: float = 1.0,
+    acc_n: float = 1.0,
+    preset: str = "const1d",
+    discount: float = 1.0,
+    step: float = 0.5,
+) -> LinearGlbProblem:
+    """Build one instance of a named family at size ``n``, as ``glbopt gen``
+    does; the keywords are its flags.  A family ignores the keywords it does
+    not read:
+
+    graph families (``ba``, ``nws``, ``hk``) -- ``pieces`` graphs seeded
+    ``(seed, piece)``, shaped by ``graph_m``, ``graph_k`` and ``graph_p``
+    (None keeps :func:`gen_graph`'s default; one the family has no use for,
+    such as ``graph_k`` for ba, raises ValueError), filled by
+    :func:`random_linear_problem` with ``max_coeff``, ``max_offset`` and ``cap``;
+    ``speedplan`` -- ``n`` samples of the curvature in ``curvature_csv``, or of
+    a straight path of length ``path_length`` (default ``n - 1``), with
+    ``v_max``, ``acc_t`` and ``acc_n``;
+    ``hjb`` -- :func:`hjb_preset` ``preset`` on ``n`` points per axis with
+    ``discount`` and ``step``.
+    """
+    if family in GRAPH_TAGS:
+        shape = {"m": graph_m, "k": graph_k, "p": graph_p}
+        params = {key: value for key, value in shape.items() if value is not None}
+        graphs = [gen_graph(family, n, seed=(seed, ell), **params) for ell in range(pieces)]
+        return random_linear_problem(
+            graphs, max_coeff=max_coeff, max_offset=max_offset, cap=cap, seed=seed
+        )
+    if family == "speedplan":
+        if curvature_csv:
+            spec = speed_plan_spec_from_csv(curvature_csv, n, v_max, acc_t, acc_n)
+        else:
+            spec = SpeedPlanSpec(
+                path_length=float(n - 1) if path_length is None else path_length,
+                samples=n,
+                curvature=np.zeros(n),
+                v_max=v_max,
+                acc_tangential=acc_t,
+                acc_normal=acc_n,
+            )
+        return speed_planning_problem(spec)
+    if family == "hjb":
+        return hjb_grid_problem(hjb_preset(preset, n, discount, step))
+    raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+
+
 # -- instance files -----------------------------------------------------------
 
 
@@ -879,13 +945,7 @@ def save_instance(p: LinearGlbProblem, path) -> None:
     for the whole save, and ``repr`` once per distinct bit pattern of each
     vector and of each piece's values (:func:`_float_text`).  Triplets are
     assembled and written ``_CHUNK`` at a time (:func:`_write_triplets`), so
-    no per-entry Python objects outlive a chunk.  On a 2-vCPU shared
-    machine (Python 3.11, numpy 2.4) a speed-planning instance at n=20000,
-    whose 39998 stored values are all 1.0, saves in 13-19 ms instead of
-    36-51 ms by one ``%``-format per triplet, and HJB drift1d at 1001
-    points in 3-5 ms instead of 8-11 ms.  BA at n=5000 has 199800 distinct
-    values, so ``repr`` itself is the floor there (medians 310-370 ms
-    against 340-460 ms).
+    no per-entry Python objects outlive a chunk.
     """
     # encoded before the file is opened, so a meta json cannot encode leaves
     # no partial file; json escapes newlines inside strings, so every newline

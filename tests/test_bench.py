@@ -9,6 +9,7 @@ import pytest
 from glbopt import bench, load_instance, save_instance, LinearGlbProblem, SolveReport
 from glbopt.bench import SweepConfig, make_instance, run_sweep, solve_with_method, write_sweep_csv
 from glbopt.cli import main
+from glbopt.instances import FAMILIES, generate
 from suite_helpers import DEEP_DOCUMENTS
 
 
@@ -303,6 +304,20 @@ class TestCli:
         argv = [str(csv_path) if arg == "CSV" else arg for arg in argv]
         assert main(["gen", *argv, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_sweep_builds_what_gen_builds(self, family, tmp_path, capsys):
+        # gen at its defaults, except preset drift1d, writes the sweep's instance
+        gen_path, sweep_path = tmp_path / "gen.json", tmp_path / "sweep.json"
+        preset = ["--preset", "drift1d"] if family == "hjb" else []
+        assert main(["gen", "--family", family, "--n", "40", "--seed", "2", *preset,
+                     "--out", str(gen_path)]) == 0
+        save_instance(make_instance(SweepConfig(family=family), 40, seed=2), sweep_path)
+        assert gen_path.read_bytes() == sweep_path.read_bytes()
+
+    def test_generate_rejects_unknown_family(self):
+        with pytest.raises(ValueError, match="unknown family 'file'"):
+            generate("file", 10)
 
     def test_gen_parameter_of_another_family_exits_one(self, tmp_path, capsys):
         out = tmp_path / "inst.json"
