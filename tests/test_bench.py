@@ -193,6 +193,50 @@ def two_var_file(tmp_path, two_var):
     return str(path)
 
 
+def _non_time_rows(path) -> list[list[str]]:
+    """The CSV records of a sweep, header included, without the wall_time column."""
+    with open(path, newline="") as fh:
+        records = list(csv.reader(fh))
+    keep = [k for k, col in enumerate(records[0]) if col != "wall_time"]
+    return [[record[k] for k in keep] for record in records]
+
+
+def _digest(records: list[list[str]]) -> str:
+    return hashlib.sha256("\n".join(map(",".join, records)).encode()).hexdigest()
+
+
+SWEEP_HELP = """\
+usage: glbopt sweep [-h] [--family {ba,nws,hk,speedplan,hjb,file}]
+                    [--instance INSTANCE] [--sizes SIZES]
+                    [--tolerances TOLERANCES] [--pieces PIECES]
+                    [--max-coeff MAX_COEFF] [--max-offset MAX_OFFSET]
+                    [--cap CAP] [--policies POLICIES] [--methods METHODS]
+                    [--reps REPS] [--seed SEED] [--time-budget TIME_BUDGET]
+                    [--max-iter MAX_ITER] --out OUT
+
+options:
+  -h, --help            show this help message and exit
+  --family {ba,nws,hk,speedplan,hjb,file}
+  --instance INSTANCE   instance file (family 'file')
+  --sizes SIZES         comma-separated instance sizes
+  --tolerances TOLERANCES
+                        comma-separated eps values
+  --pieces PIECES
+  --max-coeff MAX_COEFF
+  --max-offset MAX_OFFSET
+  --cap CAP
+  --policies POLICIES
+  --methods METHODS
+  --reps REPS
+  --seed SEED
+  --time-budget TIME_BUDGET
+                        seconds per run
+  --max-iter MAX_ITER   work cap in full sweeps; selective methods stop after
+                        max-iter * n component updates
+  --out OUT
+"""
+
+
 class TestCli:
     def test_solve_reaches_eps_solution(self, two_var_file, capsys):
         code = main(["solve", two_var_file, "--method", "selective-precond",
@@ -363,6 +407,54 @@ class TestCli:
         with open(out, newline="") as fh:
             records = list(csv.reader(fh))
         assert len(records) == 1 + 2 + 2  # header + runs + aggregates
+
+    def test_sweep_help_is_pinned(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out == SWEEP_HELP
+
+    @pytest.mark.parametrize("argv, config", [
+        ([], {}),
+        (["--family", "nws", "--instance", "unused.json", "--sizes", "30,20,",
+          "--tolerances", "1e-4,1e-7", "--pieces", "3", "--max-coeff", "0.4",
+          "--max-offset", "2", "--cap", "50", "--policies", "lifo,value",
+          "--methods", "fixed-plain,selective-precond", "--reps", "2", "--seed", "5",
+          "--time-budget", "100", "--max-iter", "5000"],
+         dict(family="nws", instance_path="unused.json", sizes=(30, 20),
+              tolerances=(1e-4, 1e-7), pieces=3, max_coeff=0.4, max_offset=2.0, cap=50.0,
+              policies=("lifo", "value"), methods=("fixed-plain", "selective-precond"),
+              repetitions=2, seed_base=5, time_budget=100.0, max_iter=5000)),
+        (["--family", "file", "--instance", "FILE"], dict(family="file", instance_path="FILE")),
+    ], ids=["defaults", "every-flag", "file"])
+    def test_sweep_command_runs_its_config(self, argv, config, two_var_file, tmp_path, capsys):
+        # the flags given, and no others, reach the sweep: same rows as the config
+        argv = [two_var_file if arg == "FILE" else arg for arg in argv]
+        config = {key: two_var_file if value == "FILE" else value for key, value in config.items()}
+        cli_path, api_path = tmp_path / "cli.csv", tmp_path / "api.csv"
+        assert main(["sweep", *argv, "--out", str(cli_path)]) == 0
+        write_sweep_csv(run_sweep(SweepConfig(**config), log=lambda m: None), api_path)
+        assert _non_time_rows(cli_path) == _non_time_rows(api_path)
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["--family", "hjb", "--sizes", "41,101"],
+         "e0b8d9e43c6e57ff7a85099e0fb695fe449f43113bb836cd56bbbfaf0e937683"),
+        (["--family", "speedplan", "--sizes", "50,200"],
+         "9e893ae3190033d01a55732fda6b502b94d8140c8e835fb52cf93aefee90222a"),
+        (["--family", "file", "--instance", "FILE"],
+         "2a0fc9ae019792cbda330d6d3d699dd9456affe643e1aeaedbf6d1bbd19adcc0"),
+    ], ids=["hjb", "speedplan", "file"])
+    def test_seedless_sweep_rows_are_pinned(self, argv, digest, tmp_path, capsys):
+        # instances that read no seed: every seed's run solves the same problem
+        inst = tmp_path / "ba.json"
+        if "FILE" in argv:
+            assert main(["gen", "--family", "ba", "--n", "60", "--seed", "2",
+                         "--out", str(inst)]) == 0
+            argv = [str(inst) if arg == "FILE" else arg for arg in argv]
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", *argv, "--reps", "3", "--out", str(out)]) == 0
+        assert _digest(_non_time_rows(out)) == digest
 
     def test_solve_exit_code_checks_residual_from_scratch(self, two_var_file, tmp_path,
                                                            monkeypatch, capsys):
