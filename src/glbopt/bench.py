@@ -30,6 +30,8 @@ from .queues import POLICIES
 METHODS = ("fixed-plain", "fixed-precond", "selective-plain", "selective-precond")
 SELECTIVE_METHODS = ("selective-plain", "selective-precond")
 FAMILIES = instances.FAMILIES + ("file",)
+# families whose instance at a size is the same for every seed
+_SEEDLESS = instances.SEEDLESS + ("file",)
 # work cap of every method, in full sweeps (see solve_with_method)
 MAX_ITER = 100_000
 
@@ -75,10 +77,11 @@ class SweepConfig:
     family: str = "ba"
     sizes: tuple[int, ...] = (500,)
     tolerances: tuple[float, ...] = (1e-6,)
-    pieces: int = 4
-    max_coeff: float = 0.5
-    max_offset: float = 1.0
-    cap: float = 1e5
+    # None keeps instances.generate's default
+    pieces: int | None = None
+    max_coeff: float | None = None
+    max_offset: float | None = None
+    cap: float | None = None
     policies: tuple[str, ...] = POLICIES
     repetitions: int = 5
     seed_base: int = 1
@@ -109,10 +112,9 @@ def make_instance(config: SweepConfig, n: int, seed: int) -> LinearGlbProblem:
     ``glbopt gen`` builds at its defaults, except preset drift1d for const1d."""
     if config.family == "file":
         return load_instance(config.instance_path)
-    return instances.generate(
-        config.family, n, seed, pieces=config.pieces, max_coeff=config.max_coeff,
-        max_offset=config.max_offset, cap=config.cap, preset="drift1d",
-    )
+    keys = ("pieces", "max_coeff", "max_offset", "cap")
+    given = {key: getattr(config, key) for key in keys if getattr(config, key) is not None}
+    return instances.generate(config.family, n, seed, preset="drift1d", **given)
 
 
 def _combos(config: SweepConfig):
@@ -136,15 +138,16 @@ def run_sweep(config: SweepConfig, *, log=None) -> list[dict]:
     rows: list[dict] = []
     exhausted: set[tuple[str, str]] = set()
     for n in sorted(config.sizes):
-        instances = {}
-        for rep in range(config.repetitions):
-            seed = config.seed_base + rep
-            instances[seed] = make_instance(config, n, seed)
+        seeds = range(config.seed_base, config.seed_base + config.repetitions)
+        if config.family in _SEEDLESS:  # one build; its runs repeat the timing
+            problems = dict.fromkeys(seeds, make_instance(config, n, config.seed_base))
+        else:
+            problems = {seed: make_instance(config, n, seed) for seed in seeds}
         for eps in config.tolerances:
             for method, policy in _combos(config):
                 if (method, policy) in exhausted:
                     continue
-                for seed, problem in instances.items():
+                for seed, problem in problems.items():
                     row = {
                         "family": config.family, "n": problem.n, "L": problem.L,
                         "seed": seed, "method": method, "policy": policy, "eps": eps,

@@ -34,6 +34,15 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+def _comma_list(convert):
+    """The argparse type of a comma-separated list: a tuple of ``convert``
+    applied to each nonblank token; argparse names the type in its error."""
+    def parse(text: str) -> tuple:
+        return tuple(convert(tok) for tok in text.split(",") if tok.strip())
+    parse.__name__ = f"comma-separated {convert.__name__}"
+    return parse
+
+
 @functools.cache  # one parser per process: building one costs about 25 parses
 def _build_parser() -> _Parser:
     parser = _Parser(prog="glbopt", description=__doc__)
@@ -69,21 +78,24 @@ def _build_parser() -> _Parser:
     solve.add_argument("--max-iter", type=int, default=bench.MAX_ITER, help=_MAX_ITER_HELP)
     solve.add_argument("--out", default=None, help="write the solution report as JSON")
 
-    sweep = sub.add_parser("sweep", help="run a benchmark sweep, write CSV")
-    sweep.add_argument("--family", default="ba", choices=bench.FAMILIES)
-    sweep.add_argument("--instance", default=None, help="instance file (family 'file')")
-    sweep.add_argument("--sizes", default="500", help="comma-separated instance sizes")
-    sweep.add_argument("--tolerances", default="1e-6", help="comma-separated eps values")
-    sweep.add_argument("--pieces", type=int, default=4)
-    sweep.add_argument("--max-coeff", type=float, default=0.5)
-    sweep.add_argument("--max-offset", type=float, default=1.0)
-    sweep.add_argument("--cap", type=float, default=1e5)
-    sweep.add_argument("--policies", default=",".join(POLICIES))
-    sweep.add_argument("--methods", default=",".join(bench.METHODS))
-    sweep.add_argument("--reps", type=int, default=5)
-    sweep.add_argument("--seed", type=int, default=1)
-    sweep.add_argument("--time-budget", type=float, default=None, help="seconds per run")
-    sweep.add_argument("--max-iter", type=int, default=bench.MAX_ITER, help=_MAX_ITER_HELP)
+    # only the flags given reach bench.SweepConfig, whose fields hold the defaults
+    sweep = sub.add_parser("sweep", argument_default=argparse.SUPPRESS,
+                           help="run a benchmark sweep, write CSV")
+    sweep.add_argument("--family", choices=bench.FAMILIES)
+    sweep.add_argument("--instance", dest="instance_path", metavar="INSTANCE",
+                       help="instance file (family 'file')")
+    sweep.add_argument("--sizes", type=_comma_list(int), help="comma-separated instance sizes")
+    sweep.add_argument("--tolerances", type=_comma_list(float), help="comma-separated eps values")
+    sweep.add_argument("--pieces", type=int)
+    sweep.add_argument("--max-coeff", type=float)
+    sweep.add_argument("--max-offset", type=float)
+    sweep.add_argument("--cap", type=float)
+    sweep.add_argument("--policies", type=_comma_list(str))
+    sweep.add_argument("--methods", type=_comma_list(str))
+    sweep.add_argument("--reps", dest="repetitions", metavar="REPS", type=int)
+    sweep.add_argument("--seed", dest="seed_base", metavar="SEED", type=int)
+    sweep.add_argument("--time-budget", type=float, help="seconds per run")
+    sweep.add_argument("--max-iter", type=int, help=_MAX_ITER_HELP)
     sweep.add_argument("--out", required=True)
 
     export = sub.add_parser("export-lp", help="write the CPLEX-LP reformulation")
@@ -130,28 +142,9 @@ def _cmd_solve(args) -> int:
     return 0 if verify_epsilon_solution(problem, report.x, args.eps) else 1
 
 
-def _parse_list(text: str, convert):
-    return tuple(convert(tok) for tok in text.split(",") if tok.strip())
-
-
 def _cmd_sweep(args) -> int:
-    config = bench.SweepConfig(
-        family=args.family,
-        sizes=_parse_list(args.sizes, int),
-        tolerances=_parse_list(args.tolerances, float),
-        pieces=args.pieces,
-        max_coeff=args.max_coeff,
-        max_offset=args.max_offset,
-        cap=args.cap,
-        policies=_parse_list(args.policies, str),
-        methods=_parse_list(args.methods, str),
-        repetitions=args.reps,
-        seed_base=args.seed,
-        time_budget=args.time_budget,
-        instance_path=args.instance,
-        max_iter=args.max_iter,
-    )
-    rows = bench.run_sweep(config)
+    params = {key: value for key, value in vars(args).items() if key not in ("command", "out")}
+    rows = bench.run_sweep(bench.SweepConfig(**params))
     bench.write_sweep_csv(rows, args.out)
     print(f"wrote {args.out}: {len(rows)} rows")
     return 0

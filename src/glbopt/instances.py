@@ -816,6 +816,8 @@ def _force_row_sums(cols: np.ndarray, weights: np.ndarray, target: float):
 # -- named families -----------------------------------------------------------
 
 FAMILIES = GRAPH_TAGS + ("speedplan", "hjb")
+# the families whose builds read no seed: one instance per size for every seed
+SEEDLESS = ("speedplan", "hjb")
 
 
 def generate(

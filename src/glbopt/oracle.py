@@ -29,41 +29,36 @@ class OracleResult:
     certified: bool
 
 
-def reference_solve(
-    p: LinearGlbProblem,
-    tol: float = ORACLE_TOL,
-    max_iter: int | None = None,
-) -> OracleResult:
+def reference_solve(p: LinearGlbProblem) -> OracleResult:
     """High-precision fixed point by full preconditioned sweeps from the cap.
 
     Certification requires the from-scratch residual on the plain map to
-    reach ``tol`` and the preconditioned contraction rate to be below one;
-    otherwise the best iterate found is returned flagged uncertified.
+    reach ``ORACLE_TOL`` and the preconditioned contraction rate to be below
+    one; otherwise the best iterate found is returned flagged uncertified.
     """
     hat = precondition(p)
     _, gamma_hat = contraction_rates(p)
     x = p.U.copy()
     if p.n == 0:
         return OracleResult(x_star=x, residual=0.0, iterations=0, certified=True)
-    if max_iter is None:
-        if gamma_hat < 1.0:
-            scale = max(float(np.max(np.abs(p.U - p.a))), tol)
-            max_iter = 50 + 10 * _geometric_iters(scale, tol, gamma_hat)
-        else:
-            max_iter = 200_000
+    if gamma_hat < 1.0:
+        scale = max(float(np.max(np.abs(p.U - p.a))), ORACLE_TOL)
+        max_iter = 50 + 10 * _geometric_iters(scale, ORACLE_TOL, gamma_hat)
+    else:
+        max_iter = 200_000
     residual = float(np.max(np.abs(x - p.glb_eval(x))))
     iterations = 0
-    threshold = tol / 4.0
-    while residual > tol and iterations < max_iter:
+    threshold = ORACLE_TOL / 4.0
+    while residual > ORACLE_TOL and iterations < max_iter:
         x_new = hat.glb_eval(x)
         step = float(np.max(np.abs(x - x_new)))
         x = x_new
         iterations += 1
         if step <= threshold:
             residual = float(np.max(np.abs(x - p.glb_eval(x))))
-            if residual > tol:
+            if residual > ORACLE_TOL:
                 threshold /= 4.0
-    certified = residual <= tol and gamma_hat < 1.0
+    certified = residual <= ORACLE_TOL and gamma_hat < 1.0
     return OracleResult(x_star=x, residual=residual, iterations=iterations, certified=certified)
 
 

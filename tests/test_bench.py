@@ -170,6 +170,27 @@ class TestSweep:
         p = make_instance(config, 7, seed=1)
         assert p.n == 7 and p.L == 3  # drift preset carries three controls
 
+    @pytest.mark.parametrize("family, builds", [
+        ("hjb", 1), ("speedplan", 1), ("file", 1), ("ba", 3),
+    ])
+    def test_seedless_instance_is_built_once_per_size(self, family, builds, two_var,
+                                                      tmp_path, monkeypatch):
+        path = tmp_path / "inst.json"
+        save_instance(two_var, path)
+        calls = []
+
+        def counted(config, n, seed):
+            calls.append((n, seed))
+            return make_instance(config, n, seed)
+
+        monkeypatch.setattr(bench, "make_instance", counted)
+        config = self.small_config(family=family, sizes=(12, 20), repetitions=3,
+                                   instance_path=str(path))
+        rows = run_sweep(config, log=lambda m: None)
+        assert len(calls) == 2 * builds
+        assert sorted({n for n, _ in calls}) == [12, 20]
+        assert len([r for r in rows if r["seed"] != "mean"]) == 2 * 3 * 3
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="unknown family"):
             SweepConfig(family="mesh")
@@ -455,6 +476,14 @@ class TestCli:
         out = tmp_path / "rows.csv"
         assert main(["sweep", *argv, "--reps", "3", "--out", str(out)]) == 0
         assert _digest(_non_time_rows(out)) == digest
+
+    @pytest.mark.parametrize("flag, value", [("--sizes", "5,x"), ("--tolerances", "1e-6,tiny")])
+    def test_sweep_bad_list_token_names_its_flag(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", flag, value, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: argument {flag}: invalid comma-separated ")
+        assert not out.exists()
 
     def test_solve_exit_code_checks_residual_from_scratch(self, two_var_file, tmp_path,
                                                            monkeypatch, capsys):

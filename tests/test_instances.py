@@ -40,7 +40,9 @@ from glbopt import (
     to_lp_form,
 )
 from glbopt.bench import SweepConfig, make_instance
-from glbopt.instances import _CHUNK, _ScalarDraws, _force_row_sums, hjb_preset
+from glbopt.instances import (
+    _CHUNK, FAMILIES, SEEDLESS, _ScalarDraws, _force_row_sums, generate, hjb_preset,
+)
 from suite_helpers import DEEP_DOCUMENTS, force_row_sum, reference_hjb_grid_problem
 
 
@@ -1291,3 +1293,14 @@ class TestCurvatureCsv:
         path.write_text(f"s,k\n0.0,0.0\n{row}\n2.0,0.0\n")
         with pytest.raises(InstanceFormatError, match="line 3: non-finite"):
             load_curvature_csv(path)
+
+
+class TestNamedFamilies:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_seedless_lists_the_families_whose_build_reads_no_seed(self, family):
+        first, second = generate(family, 40, 1), generate(family, 40, 2)
+        same = len(first.pieces) == len(second.pieces) and all(
+            (A1 != A2).nnz == 0 and np.array_equal(b1, b2)
+            for (A1, b1), (A2, b2) in zip(first.pieces, second.pieces)
+        )
+        assert (family in SEEDLESS) == same
