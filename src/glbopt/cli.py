@@ -36,9 +36,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _comma_list(convert):
     """The argparse type of a comma-separated list: a tuple of ``convert``
-    applied to each nonblank token; argparse names the type in its error."""
+    applied to each nonblank token, stripped; argparse names the type in its error."""
     def parse(text: str) -> tuple:
-        return tuple(convert(tok) for tok in text.split(",") if tok.strip())
+        return tuple(convert(tok) for tok in map(str.strip, text.split(",")) if tok)
     parse.__name__ = f"comma-separated {convert.__name__}"
     return parse
 

@@ -11,11 +11,15 @@ program.
 from __future__ import annotations
 
 import contextlib
+import functools
 import gc
 import math
+import os
+import sys
 import time
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy import sparse
@@ -203,14 +207,13 @@ class LinearGlbProblem:
         ``k = l*n + j`` indexes the stacked etas of :func:`_fresh_state`, and
         ``last`` marks the last entry of row j in the column.
 
-        Every entry is a tuple of ints, a float and a bool, which the garbage
-        collector stops tracking after it has seen them, so later full
-        collections do not walk the O(nnz) table again.  The build runs with
-        the collector paused: it makes only such acyclic tuples, so the
-        collections its allocations would trigger rescan the growing table
-        and free nothing.  Every index is taken from one object array of the
-        ints ``0..L*n-1``, so the table holds L*n index ints instead of two
-        per stored entry.
+        Every entry is a tuple of ints, a float and a bool, and every column
+        a tuple of entries, so the garbage collector need never walk the
+        O(nnz) table: the native builder (see :func:`_update_table`) makes
+        them untracked from birth, and on the Python fallback the collector
+        stops tracking them after it has seen them once.  Every index is
+        taken from one list of the ints ``0..L*n-1``, so the table holds L*n
+        index ints instead of two per stored entry.
         """
         if self._tables is None:
             self._tables = _update_table(self._pieces, self.n) if self.L else [()] * self.n
@@ -219,22 +222,117 @@ class LinearGlbProblem:
 
 @_collector_paused()
 def _update_table(pieces, n):
-    """The table of ``_selective_tables`` (L >= 1); temporaries die before the collector resumes."""
+    """The table of ``_selective_tables`` (L >= 1), built from one CSC matrix.
+
+    The arrays come from scipy; the tuples from ``_native.c`` when it can be
+    built and loaded (:func:`_native_table_builder`), else from
+    :func:`_python_columns`.  Both make the same objects.  The build runs
+    with the collector paused: it makes only acyclic tuples, so the
+    collections its allocations would trigger rescan the growing table and
+    free nothing; temporaries die before the collector resumes.
+    """
     L = len(pieces)
     coos = [A.tocoo() for A, _ in pieces]
     # row j*L + l holds A_l[j, :], so each CSC column lists its entries by row j, then piece l
     csc = sparse.csr_array((np.concatenate([c.data for c in coos]), (
         np.concatenate([c.row * L + ell for ell, c in enumerate(coos)]),
         np.concatenate([c.col for c in coos]))), shape=(L * n, n)).tocsc()
-    j, ell = np.divmod(csc.indices, L)
+    j, ell = np.divmod(csc.indices.astype(np.int64), L)
     last = np.append(j[1:] != j[:-1], True)
     last[csc.indptr[1:] - 1] = True  # a column's last entry ends its row
-    index = np.array(range(L * n), dtype=object)
-    ks, js, last = index[ell * n + j].tolist(), index[j].tolist(), last.tolist()
-    w, ptr = csc.data.tolist(), csc.indptr.tolist()
-    del coos, csc, j, ell, index  # free the arrays before the entries are made
+    ptr, k, w = csc.indptr.astype(np.int64), ell * n + j, csc.data
+    del coos, csc, ell  # free the arrays before the entries are made
+    build = _native_table_builder()
+    if build is None:
+        return _python_columns(L * n, ptr, k, j, w, last)
+    arrays = [np.ascontiguousarray(a, dtype) for a, dtype in (
+        (ptr, np.int64), (k, np.int64), (j, np.int64), (w, np.float64), (last, np.bool_))]
+    cols = []
+    build(cols, list(range(L * n)), n, *(a.ctypes.data for a in arrays))
+    return cols
+
+
+def _python_columns(size, ptr, k, j, w, last):
+    """The tuples of :func:`_update_table` made in Python: the fallback, and a
+    second reference for tests."""
+    index = np.array(range(size), dtype=object)
+    ks, js, last = index[k].tolist(), index[j].tolist(), last.tolist()
+    w, ptr = w.tolist(), ptr.tolist()
+    del index
     entries = tuple(zip(ks, js, w, last))
-    return [entries[ptr[i]:ptr[i + 1]] for i in range(n)]
+    return [entries[ptr[i]:ptr[i + 1]] for i in range(len(ptr) - 1)]
+
+
+_NATIVE_SOURCE = Path(__file__).with_name("_native.c")
+_native_fallback = None  # why the native builder is not in use, once a load failed
+
+
+# The modules that build and load the native library are imported where they
+# are used: only a process's first table build needs them, and at module top
+# they add tens of milliseconds to ``import glbopt``.
+
+
+def _compile_command(source, out):
+    """The system C compiler's command that builds ``source`` into the shared library ``out``."""
+    import shlex
+    import sysconfig
+
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    include = sysconfig.get_paths()["include"]
+    return [*cc, "-O2", "-shared", "-fPIC", f"-I{include}", "-o", str(out), str(source)]
+
+
+def _native_library():
+    """Path of ``_native.c`` compiled for this interpreter, built on first use.
+
+    The file lives in ``$XDG_CACHE_HOME/glbopt`` (default ``~/.cache/glbopt``)
+    under a name keyed by the source and the interpreter.  It is compiled to
+    a temporary name and renamed into place, so no reader sees a partial file.
+    """
+    import hashlib
+    import subprocess
+    import sysconfig
+    import tempfile
+
+    source = _NATIVE_SOURCE.read_bytes()
+    key = hashlib.sha256(b"\0".join([
+        source, sys.version.encode(), (sysconfig.get_config_var("EXT_SUFFIX") or "").encode(),
+    ])).hexdigest()
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "glbopt"
+    lib = cache / f"_native-{key[:32]}.so"
+    if not lib.exists():
+        cache.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".so.tmp", dir=cache)
+        os.close(fd)
+        try:
+            subprocess.run(_compile_command(_NATIVE_SOURCE, tmp), check=True,
+                           stdin=subprocess.DEVNULL, capture_output=True)
+            os.replace(tmp, lib)
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+    return lib
+
+
+@functools.cache
+def _native_table_builder():
+    """The C function that makes the table's tuples, or None when ``_native.c``
+    cannot be compiled or loaded here; the reason is kept in ``_native_fallback``.
+    Runs once per process."""
+    import ctypes
+    import subprocess
+
+    global _native_fallback
+    try:
+        fill = ctypes.PyDLL(str(_native_library())).glbopt_fill_update_table
+    except (OSError, subprocess.SubprocessError, AttributeError, RuntimeError) as exc:
+        stderr = getattr(exc, "stderr", None)
+        _native_fallback = f"{exc!r}" + (f": {stderr.decode(errors='replace')}" if stderr else "")
+        return None
+    fill.argtypes = [ctypes.py_object, ctypes.py_object, ctypes.c_ssize_t] + [ctypes.c_void_p] * 5
+    fill.restype = ctypes.c_int
+    _native_fallback = None
+    return fill
 
 
 def contraction_rates(p: LinearGlbProblem) -> tuple[float, float]:

@@ -477,6 +477,16 @@ class TestCli:
         assert main(["sweep", *argv, "--reps", "3", "--out", str(out)]) == 0
         assert _digest(_non_time_rows(out)) == digest
 
+    def test_sweep_list_tokens_ignore_spaces(self, tmp_path, capsys):
+        spaced, plain = tmp_path / "spaced.csv", tmp_path / "plain.csv"
+        lists = {"--sizes": "12, 14", "--tolerances": "1e-4 , 1e-6", "--policies": "fifo, lifo",
+                 "--methods": " selective-plain,fixed-precond "}
+        for out, strip in ((spaced, False), (plain, True)):
+            argv = [arg for flag, value in lists.items()
+                    for arg in (flag, value.replace(" ", "") if strip else value)]
+            assert main(["sweep", "--family", "nws", *argv, "--out", str(out)]) == 0
+        assert _non_time_rows(spaced) == _non_time_rows(plain)
+
     @pytest.mark.parametrize("flag, value", [("--sizes", "5,x"), ("--tolerances", "1e-6,tiny")])
     def test_sweep_bad_list_token_names_its_flag(self, flag, value, tmp_path, capsys):
         out = tmp_path / "rows.csv"

@@ -1,8 +1,14 @@
 import gc
 import hashlib
+import importlib.resources
+import shlex
+import shutil
+import sys
+import sysconfig
 import time
 import weakref
 from contextlib import nullcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +37,8 @@ from glbopt import (
     to_lp_form,
     write_lp,
 )
-from glbopt.bench import SweepConfig, make_instance, solve_with_method
+from glbopt import linear
+from glbopt.bench import SELECTIVE_METHODS, SweepConfig, make_instance, solve_with_method
 from glbopt.queues import POLICIES
 
 from suite_helpers import exact_residual, make_random_problem
@@ -244,6 +251,117 @@ class TestSelectiveTables:
         indices = [index for c in cols for k, j, _, _ in c for index in (k, j)]
         assert len(indices) > p.total_nnz
         assert len({id(index) for index in indices}) <= p.L * p.n
+
+
+class TestSelectiveTablesPythonBuilder(TestSelectiveTables):
+    """Every table test again, with the tuples made by the Python fallback."""
+
+    @pytest.fixture(autouse=True)
+    def _python_builder(self, monkeypatch):
+        monkeypatch.setattr(linear, "_native_table_builder", lambda: None)
+
+    # hypothesis refuses to run one @given test from two classes, so it is restated here
+    @settings(max_examples=150, deadline=None)
+    @given(small_problems())
+    def test_small_problems_match_reference_and_fixed_sweeps(self, p):
+        assert [list(c) for c in p._selective_tables()] == reference_tables(p)
+
+
+def _native_builder_or_skip():
+    if linear._native_table_builder() is None:
+        pytest.skip(f"native table builder unavailable: {linear._native_fallback}")
+
+
+@pytest.fixture
+def fresh_native_load():
+    """Forget the process's native builder before and after the test, so the
+    test loads its own and later tests load the usual one again."""
+    linear._native_table_builder.cache_clear()
+    yield
+    linear._native_table_builder.cache_clear()
+
+
+def _failing_compile(source, out):
+    # leaves a partial output behind, as an interrupted compiler might
+    return [sys.executable, "-c", "import sys; open(sys.argv[1], 'w').write('partial'); sys.exit(1)",
+            str(out)]
+
+
+def _garbage_library(source, out):
+    return [sys.executable, "-c", "import sys; open(sys.argv[1], 'w').write('not a library')",
+            str(out)]
+
+
+class TestTableBuilders:
+    def test_native_build_is_untracked_from_birth(self):
+        _native_builder_or_skip()
+        p = make_instance(SweepConfig(family="ba"), 300, seed=3)
+        gc.disable()  # no collection may run between the build and the check
+        try:
+            cols = p._selective_tables()
+            inner = list(cols) + [e for c in cols for e in c]
+            tracked = sum(gc.is_tracked(obj) for obj in inner)
+        finally:
+            gc.enable()
+        assert len(inner) > p.total_nnz
+        assert tracked == 0
+
+    @pytest.mark.parametrize("family", ["ba", "speedplan", "hjb"])
+    def test_selective_reports_do_not_depend_on_the_builder(self, family, monkeypatch):
+        _native_builder_or_skip()
+
+        def reports():
+            out = []
+            for method in SELECTIVE_METHODS:
+                for policy in POLICIES:
+                    p = make_instance(SweepConfig(family=family), 300, seed=3)
+                    r = solve_with_method(p, method, policy=policy, eps=1e-9)
+                    out.append((r.x.tobytes(), r.residual_inf, r.scalar_multiplications,
+                                r.component_updates, r.dequeues, r.verify_multiplications))
+            return out
+
+        native = reports()
+        monkeypatch.setattr(linear, "_native_table_builder", lambda: None)
+        assert reports() == native
+        assert len(native) == 8
+
+    def test_native_builder_is_used_where_it_can_be_built(self):
+        cc = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
+        header = Path(sysconfig.get_paths()["include"]) / "Python.h"
+        if shutil.which(cc) is None or not header.is_file():
+            pytest.skip("no C compiler or no Python.h")
+        assert linear._native_table_builder() is not None, linear._native_fallback
+
+    def test_native_builder_compiles_into_the_cache(self, fresh_native_load, tmp_path,
+                                                    monkeypatch):
+        _native_builder_or_skip()
+        linear._native_table_builder.cache_clear()
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        assert linear._native_table_builder() is not None, linear._native_fallback
+        assert [f.suffix for f in (tmp_path / "glbopt").iterdir()] == [".so"]
+
+    @pytest.mark.parametrize("fault", ["compile-error", "no-compiler", "cache-not-a-dir",
+                                       "load-error"])
+    def test_build_falls_back_to_python(self, fault, fresh_native_load, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        if fault == "cache-not-a-dir":
+            (tmp_path / "glbopt").write_text("")
+        else:
+            command = {"compile-error": _failing_compile, "load-error": _garbage_library,
+                       "no-compiler": lambda source, out: [str(tmp_path / "no-such-cc")]}[fault]
+            monkeypatch.setattr(linear, "_compile_command", command)
+        p = make_instance(SweepConfig(family="ba"), 200, seed=3)
+        cols = p._selective_tables()
+        assert [list(c) for c in cols] == reference_tables(p)
+        assert linear._native_table_builder() is None
+        assert linear._native_fallback
+        if fault in ("compile-error", "no-compiler"):
+            assert list((tmp_path / "glbopt").iterdir()) == []
+        if fault == "compile-error":
+            assert "CalledProcessError" in linear._native_fallback
+
+    def test_source_ships_as_package_data(self):
+        assert (importlib.resources.files("glbopt") / "_native.c").is_file()
 
 
 class TestContractionRates:
