@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import sparse
 
-from .linear import LinearGlbProblem, _collector_paused, contraction_rates
+from .linear import LinearGlbProblem, _collector_paused, _native_ba_targets, contraction_rates
 
 
 class InstanceFormatError(ValueError):
@@ -126,7 +126,9 @@ def gen_graph(tag: str, n: int, seed, **params) -> RandomGraph:
     Every draw equals the ``Generator.integers(k)`` or ``Generator.random()``
     call it replaces on the raw PCG64 stream (see :class:`_ScalarDraws`), so a
     graph depends only on PCG64 output, which NumPy keeps stable across
-    versions, and not on how ``Generator`` methods are implemented.
+    versions, and not on how ``Generator`` methods are implemented.  BA's
+    attachment loop runs in C where the native library loads; the Python loop
+    of :func:`_ba_targets` is its reference, and both give the same edges.
     """
     key = tag.lower()
     draws = _ScalarDraws(_rng(seed))
@@ -156,10 +158,32 @@ def _no_extra(params: dict, tag: str) -> None:
 
 
 def _ba_edges(n, m, draws):
+    """Preferential attachment: node s = m .. n-1 links to m distinct nodes,
+    drawn from a pool that holds each earlier link's two ends.
+
+    The loop runs in C (``glbopt_ba_targets`` in ``_native.c``) when the
+    native library loads, on the raw words of the same generator, and
+    otherwise in Python: :func:`_ba_targets` is the reference, and both give
+    the same edges.  ``draws`` must be fresh, with no word consumed.
+    """
     if m < 1 or n <= m:
         raise ValueError(f"Barabasi-Albert needs 1 <= m < n, got m={m}, n={n}")
+    native = _native_ba_targets()
+    if native is None:
+        lo = np.array(_ba_targets(n, m, draws), dtype=np.int64)
+    else:
+        lo = np.empty((n - m) * m, dtype=np.int64)
+        native(n, m, draws._raw, _RAW_BLOCK, lo.ctypes.data)
+    hi = np.repeat(np.arange(m, n, dtype=np.int64), m)
+    order = np.lexsort((hi, lo))
+    return np.column_stack((lo[order], hi[order]))
+
+
+def _ba_targets(n, m, draws):
+    """The m targets of each new node, node after node: the attachment loop
+    in Python, the fallback and the reference of the C one."""
     integers = draws.integers
-    linked: list[int] = []  # the m targets of each new node, node after node
+    linked: list[int] = []
     repeated: list[int] = []
     targets = list(range(m))
     for source in range(m, n):
@@ -170,9 +194,7 @@ def _ba_edges(n, m, draws):
         while len(chosen) < m:
             chosen.add(repeated[integers(len(repeated))])
         targets = sorted(chosen)
-    lo, hi = np.array(linked, dtype=np.int64), np.repeat(np.arange(m, n, dtype=np.int64), m)
-    order = np.lexsort((hi, lo))
-    return np.column_stack((lo[order], hi[order]))
+    return linked
 
 
 def _nws_edges(n, k, p, draws):

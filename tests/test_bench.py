@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from glbopt import bench, load_instance, save_instance, LinearGlbProblem, SolveReport
+from glbopt import bench, instances, load_instance, save_instance, LinearGlbProblem, SolveReport
 from glbopt.bench import SweepConfig, make_instance, run_sweep, solve_with_method, write_sweep_csv
 from glbopt.cli import main
 from glbopt.instances import FAMILIES, generate
@@ -258,6 +258,32 @@ options:
 """
 
 
+# `glbopt gen` arguments and the sha256 of the file they write
+GEN_FILE_PINS = [
+    (["--family", "ba", "--n", "300", "--seed", "1"],
+     "af8c3b5e1657fc0b95d4057b5393db6ee27d9cc9ccb9501fe88d15452595c8d5"),
+    (["--family", "speedplan", "--n", "200", "--curvature-csv", "CSV", "--v-max", "12"],
+     "69bb4977917388ec8e96ad0524cde413b3c3b794fb0637ee6f56940bc0b08bc1"),
+    (["--family", "hjb", "--preset", "drift1d", "--n", "41", "--discount", "1",
+      "--step", "0.25"],
+     "c01cbdef619f853791d55bad1908f27458e2510dae684485baf504cfcee21e82"),
+    (["--family", "hjb", "--preset", "spin2d", "--n", "21", "--discount", "0.95",
+      "--step", "0.5"],
+     "cf1529c1ecf92242a8bd71f3f8f744787de7cc9a32ef5d8eb1f68041777ed4cd"),
+    (["--family", "nws", "--n", "60", "--seed", "2", "--graph-k", "4", "--graph-p", "0.1"],
+     "28133d25036acd3662de7ca9628bf92d3b483707cd2c0d8816db4cace3b0fda1"),
+    (["--family", "hk", "--n", "60", "--seed", "3", "--graph-m", "3", "--graph-p", "0.5"],
+     "d164c14ae761cff8fb38a61c03d223074fb6bb751051df63366f74daf616a4d7"),
+    (["--family", "ba", "--n", "80", "--pieces", "2", "--max-coeff", "0.3",
+      "--max-offset", "2", "--cap", "50"],
+     "17da3e4567daf6e9124882bd2c9d0fd529813bd40edeb2993a299450a601fda9"),
+    (["--family", "speedplan", "--n", "50", "--path-length", "7.5", "--acc-t", "2"],
+     "f7f3ffaf8e990b370a8f557f11406e0eb126ef7499018ac6994d822d572e1e61"),
+    (["--family", "hjb", "--n", "31"],  # the default preset, const1d
+     "704a56bfbafa8fd3431a000f85fd626691614cf3fec7556285c887bc80d3ebd6"),
+]
+
+
 class TestCli:
     def test_solve_reaches_eps_solution(self, two_var_file, capsys):
         code = main(["solve", two_var_file, "--method", "selective-precond",
@@ -338,29 +364,7 @@ class TestCli:
                          "--out", str(path)]) == 0
         assert paths[0].read_text() == paths[1].read_text()
 
-    @pytest.mark.parametrize("argv, digest", [
-        (["--family", "ba", "--n", "300", "--seed", "1"],
-         "af8c3b5e1657fc0b95d4057b5393db6ee27d9cc9ccb9501fe88d15452595c8d5"),
-        (["--family", "speedplan", "--n", "200", "--curvature-csv", "CSV", "--v-max", "12"],
-         "69bb4977917388ec8e96ad0524cde413b3c3b794fb0637ee6f56940bc0b08bc1"),
-        (["--family", "hjb", "--preset", "drift1d", "--n", "41", "--discount", "1",
-          "--step", "0.25"],
-         "c01cbdef619f853791d55bad1908f27458e2510dae684485baf504cfcee21e82"),
-        (["--family", "hjb", "--preset", "spin2d", "--n", "21", "--discount", "0.95",
-          "--step", "0.5"],
-         "cf1529c1ecf92242a8bd71f3f8f744787de7cc9a32ef5d8eb1f68041777ed4cd"),
-        (["--family", "nws", "--n", "60", "--seed", "2", "--graph-k", "4", "--graph-p", "0.1"],
-         "28133d25036acd3662de7ca9628bf92d3b483707cd2c0d8816db4cace3b0fda1"),
-        (["--family", "hk", "--n", "60", "--seed", "3", "--graph-m", "3", "--graph-p", "0.5"],
-         "d164c14ae761cff8fb38a61c03d223074fb6bb751051df63366f74daf616a4d7"),
-        (["--family", "ba", "--n", "80", "--pieces", "2", "--max-coeff", "0.3",
-          "--max-offset", "2", "--cap", "50"],
-         "17da3e4567daf6e9124882bd2c9d0fd529813bd40edeb2993a299450a601fda9"),
-        (["--family", "speedplan", "--n", "50", "--path-length", "7.5", "--acc-t", "2"],
-         "f7f3ffaf8e990b370a8f557f11406e0eb126ef7499018ac6994d822d572e1e61"),
-        (["--family", "hjb", "--n", "31"],  # the default preset, const1d
-         "704a56bfbafa8fd3431a000f85fd626691614cf3fec7556285c887bc80d3ebd6"),
-    ])
+    @pytest.mark.parametrize("argv, digest", GEN_FILE_PINS)
     def test_gen_file_bytes_are_pinned(self, argv, digest, tmp_path, capsys):
         # the instance file layout is a contract: same bytes for the same arguments
         csv_path = tmp_path / "curv.csv"
@@ -511,3 +515,15 @@ class TestCli:
         assert main(["solve", two_var_file, "--out", str(out_path)]) == 1
         doc = json.loads(out_path.read_text())
         assert doc["residual"] == 0.0 and doc["x"] == [10.0, 10.0]
+
+
+class TestCliPythonDraws:
+    """The BA file pins again, with BA graphs drawn by the Python fallback loop."""
+
+    @pytest.fixture(autouse=True)
+    def _python_draws(self, monkeypatch):
+        monkeypatch.setattr(instances, "_native_ba_targets", lambda: None)
+
+    @pytest.mark.parametrize("argv, digest", [pin for pin in GEN_FILE_PINS if "ba" in pin[0]])
+    def test_gen_file_bytes_are_pinned(self, argv, digest, tmp_path, capsys):
+        TestCli.test_gen_file_bytes_are_pinned(self, argv, digest, tmp_path, capsys)

@@ -5,6 +5,7 @@ import math
 import re
 import warnings
 from contextlib import nullcontext
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,11 +40,29 @@ from glbopt import (
     speed_planning_problem,
     to_lp_form,
 )
+from glbopt import instances, linear
 from glbopt.bench import SweepConfig, make_instance
 from glbopt.instances import (
     _CHUNK, FAMILIES, SEEDLESS, _ScalarDraws, _force_row_sums, generate, hjb_preset,
 )
 from suite_helpers import DEEP_DOCUMENTS, force_row_sum, reference_hjb_grid_problem
+
+
+# graphs and the first 32 hex digits of the sha256 of their edge arrays
+GOLDEN_EDGES = [
+    ("ba", 5000, (3, 0), {"m": 1}, "9d396f377a06d9758a996b31afd6289e"),
+    ("ba", 5000, (3, 1), {"m": 1}, "caf976c489b9ada28f2837c1a060aad5"),
+    ("ba", 5000, (3, 2), {"m": 1}, "d3276cfc4cce9e7b963fc0f5eb980729"),
+    ("ba", 5000, (3, 3), {"m": 1}, "2069618be959c1c0ca6236f5171ce714"),
+    # the graphs of the ba-sweep benchmark instance at seed 3
+    ("ba", 5000, (3, 0), {"m": 5}, "2ea46430a5932bb57be7d5674f9f22e5"),
+    ("ba", 5000, (3, 1), {"m": 5}, "7f6cee289ba73d623e8ed011adf1c28f"),
+    ("ba", 5000, (3, 2), {"m": 5}, "ee1c8cac73ecad939848f140c770a835"),
+    ("ba", 5000, (3, 3), {"m": 5}, "6a2589838d80ad5b0efcfd8f2391aaf0"),
+    ("nws", 2000, 3, {"p": 0.3}, "47909203536909dc67c0889b815df0d6"),
+    ("hk", 2000, 3, {"p": 1.0}, "51212a16b09e4b1b0f9b0d2830dd65fd"),
+    ("hk", 2000, 3, {}, "ce040a0f4477088b7fa7f0421fc6516e"),
+]
 
 
 class TestGraphGenerators:
@@ -103,20 +122,7 @@ class TestGraphGenerators:
         with pytest.raises(ValueError, match="unknown parameters"):
             gen_graph("ba", 10, seed=1, q=3)
 
-    @pytest.mark.parametrize("tag, n, seed, params, digest", [
-        ("ba", 5000, (3, 0), {"m": 1}, "9d396f377a06d9758a996b31afd6289e"),
-        ("ba", 5000, (3, 1), {"m": 1}, "caf976c489b9ada28f2837c1a060aad5"),
-        ("ba", 5000, (3, 2), {"m": 1}, "d3276cfc4cce9e7b963fc0f5eb980729"),
-        ("ba", 5000, (3, 3), {"m": 1}, "2069618be959c1c0ca6236f5171ce714"),
-        # the graphs of the ba-sweep benchmark instance at seed 3
-        ("ba", 5000, (3, 0), {"m": 5}, "2ea46430a5932bb57be7d5674f9f22e5"),
-        ("ba", 5000, (3, 1), {"m": 5}, "7f6cee289ba73d623e8ed011adf1c28f"),
-        ("ba", 5000, (3, 2), {"m": 5}, "ee1c8cac73ecad939848f140c770a835"),
-        ("ba", 5000, (3, 3), {"m": 5}, "6a2589838d80ad5b0efcfd8f2391aaf0"),
-        ("nws", 2000, 3, {"p": 0.3}, "47909203536909dc67c0889b815df0d6"),
-        ("hk", 2000, 3, {"p": 1.0}, "51212a16b09e4b1b0f9b0d2830dd65fd"),
-        ("hk", 2000, 3, {}, "ce040a0f4477088b7fa7f0421fc6516e"),
-    ])
+    @pytest.mark.parametrize("tag, n, seed, params, digest", GOLDEN_EDGES)
     def test_golden_edges(self, tag, n, seed, params, digest):
         g = gen_graph(tag, n, seed, **params)
         edges = np.array(g.edges, dtype=np.int64)
@@ -257,6 +263,98 @@ class TestScalarDraws:
         for k in (0, -1, 2**32 + 1):
             with pytest.raises(ValueError, match="bound"):
                 draws.integers(k)
+
+
+class TestBaPythonDraws:
+    """The BA pins again, with the attachment loop forced onto the Python fallback."""
+
+    @pytest.fixture(autouse=True)
+    def _python_draws(self, monkeypatch):
+        calls = []
+        python_loop = instances._ba_targets
+        monkeypatch.setattr(instances, "_native_ba_targets", lambda: None)
+        monkeypatch.setattr(instances, "_ba_targets",
+                            lambda *args: calls.append(args) or python_loop(*args))
+        yield
+        assert calls, "no graph was drawn by the Python loop"
+
+    @pytest.mark.parametrize("tag, n, seed, params, digest",
+                             [row for row in GOLDEN_EDGES if row[0] == "ba"])
+    def test_golden_edges(self, tag, n, seed, params, digest):
+        TestGraphGenerators.test_golden_edges(self, tag, n, seed, params, digest)
+
+    @pytest.mark.parametrize("n", [6, 50, 1000])
+    @pytest.mark.parametrize("params", [{"m": 1}, {"m": 5}], ids=["ba-m1", "ba-m5"])
+    def test_matches_scalar_generator_draws(self, params, n):
+        TestGraphGenerators.test_matches_scalar_generator_draws(self, "ba", params, n)
+
+
+def _native_ba_or_skip():
+    native = instances._native_ba_targets()
+    if native is None:
+        pytest.skip(f"native library unavailable: {linear._native_fallback}")
+    return native
+
+
+def _served_words(seed, crafted):
+    """A ``random_raw`` that serves one fixed word sequence, whatever block
+    sizes are asked for.  A crafted sequence zeroes the low or the high half
+    of about half its words: numpy's rule redraws a zero half for every
+    bound that is not a power of two, which PCG64 words almost never make
+    it do."""
+    words = instances._rng(seed).bit_generator.random_raw(20000)
+    if crafted:
+        pick = np.random.default_rng(seed).integers(4, size=words.size)
+        words[pick == 0] &= np.uint64(0xFFFFFFFF00000000)
+        words[pick == 1] &= np.uint64(0xFFFFFFFF)
+    served = 0
+
+    def random_raw(size):
+        nonlocal served
+        block = words[served:served + size]
+        served += size
+        assert block.size == size, "word sequence exhausted"
+        return block
+
+    return random_raw
+
+
+class TestNativeBaDraws:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda m: st.tuples(st.just(m), st.integers(m + 1, 300))),
+           st.integers(0, 2**64 - 1), st.integers(1, 7), st.booleans())
+    def test_equals_python_loop(self, m_n, seed, block, crafted):
+        # blocks of a few words run out in the middle of a node's draws
+        native = _native_ba_or_skip()
+        m, n = m_n
+        linked = np.empty((n - m) * m, dtype=np.int64)
+        native(n, m, _served_words(seed, crafted), block, linked.ctypes.data)
+        words = SimpleNamespace(random_raw=_served_words(seed, crafted))
+        draws = _ScalarDraws(SimpleNamespace(bit_generator=words))
+        assert linked.tolist() == instances._ba_targets(n, m, draws)
+
+    def test_error_of_random_raw_propagates(self):
+        native = _native_ba_or_skip()
+
+        def raw(size):
+            raise KeyError("raw")
+
+        with pytest.raises(KeyError, match="raw"):
+            native(10, 2, raw, 4, np.empty(16, dtype=np.int64).ctypes.data)
+
+    @pytest.mark.parametrize("block", [np.zeros(4, dtype=np.float32),
+                                       np.zeros(0, dtype=np.uint64)])
+    def test_words_must_be_a_nonempty_uint64_array(self, block):
+        native = _native_ba_or_skip()
+        with pytest.raises(TypeError, match="uint64"):
+            native(10, 2, lambda size: block, 4, np.empty(16, dtype=np.int64).ctypes.data)
+
+    def test_sizes_are_checked(self):
+        native = _native_ba_or_skip()
+        raw = instances._rng(1).bit_generator.random_raw
+        for n, m, block in [(5, 5, 4), (5, 0, 4), (5, 2, 0)]:
+            with pytest.raises(ValueError, match="need 1 <= m < n"):
+                native(n, m, raw, block, np.empty(16, dtype=np.int64).ctypes.data)
 
 
 class TestRandomLinearProblem:

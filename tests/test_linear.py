@@ -276,9 +276,9 @@ def _native_builder_or_skip():
 def fresh_native_load():
     """Forget the process's native builder before and after the test, so the
     test loads its own and later tests load the usual one again."""
-    linear._native_table_builder.cache_clear()
+    linear._native_functions.cache_clear()
     yield
-    linear._native_table_builder.cache_clear()
+    linear._native_functions.cache_clear()
 
 
 def _failing_compile(source, out):
@@ -335,7 +335,7 @@ class TestTableBuilders:
     def test_native_builder_compiles_into_the_cache(self, fresh_native_load, tmp_path,
                                                     monkeypatch):
         _native_builder_or_skip()
-        linear._native_table_builder.cache_clear()
+        linear._native_functions.cache_clear()
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         assert linear._native_table_builder() is not None, linear._native_fallback
         assert [f.suffix for f in (tmp_path / "glbopt").iterdir()] == [".so"]
@@ -362,6 +362,64 @@ class TestTableBuilders:
 
     def test_source_ships_as_package_data(self):
         assert (importlib.resources.files("glbopt") / "_native.c").is_file()
+
+
+def _compiler_or_skip():
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
+    header = Path(sysconfig.get_paths()["include"]) / "Python.h"
+    if shutil.which(cc) is None or not header.is_file():
+        pytest.skip("no C compiler or no Python.h")
+
+
+class TestNativeLibrary:
+    def test_native_ba_draws_are_used_where_they_can_be_built(self):
+        _compiler_or_skip()
+        assert linear._native_ba_targets() is not None, linear._native_fallback
+
+    def test_cached_file_that_does_not_load_is_rebuilt(self, fresh_native_load, tmp_path,
+                                                        monkeypatch):
+        _native_builder_or_skip()
+        linear._native_functions.cache_clear()
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        lib = linear._native_library_path()
+        lib.parent.mkdir()
+        lib.write_text("not a library")
+        assert linear._native_functions() is not None, linear._native_fallback
+        assert list(lib.parent.iterdir()) == [lib]
+        assert lib.read_bytes() != b"not a library"
+
+    def test_cached_file_that_does_not_load_is_removed_when_rebuilding_fails(
+            self, fresh_native_load, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(linear, "_compile_command", _failing_compile)
+        lib = linear._native_library_path()
+        lib.parent.mkdir()
+        lib.write_text("not a library")
+        assert linear._native_functions() is None
+        assert "CalledProcessError" in linear._native_fallback
+        assert list(lib.parent.iterdir()) == []
+
+    def test_library_is_keyed_on_the_compile_command(self, fresh_native_load, tmp_path,
+                                                     monkeypatch):
+        _native_builder_or_skip()
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        compile_command = linear._compile_command
+        for define in ([], ["-DGLBOPT_KEY_PROBE"]):
+            monkeypatch.setattr(linear, "_compile_command",
+                                lambda source, out: [*compile_command(source, out), *define])
+            linear._native_functions.cache_clear()
+            assert linear._native_functions() is not None, linear._native_fallback
+        assert [f.suffix for f in (tmp_path / "glbopt").iterdir()] == [".so", ".so"]
+
+    def test_key_is_the_source_text_not_its_path(self, tmp_path, monkeypatch):
+        # every checkout of the same source shares one build
+        path = linear._native_library_path()
+        copy = tmp_path / "_native.c"
+        copy.write_bytes(linear._NATIVE_SOURCE.read_bytes())
+        monkeypatch.setattr(linear, "_NATIVE_SOURCE", copy)
+        assert linear._native_library_path() == path
+        copy.write_bytes(copy.read_bytes() + b"\n")
+        assert linear._native_library_path() != path
 
 
 class TestContractionRates:
