@@ -1,10 +1,11 @@
 /* The tuple tail of linear._update_table and the attachment loop of
  * instances._ba_edges, built through the C API.
  *
- * linear.py compiles this file with the system C compiler on first use (a
+ * _native.py compiles this file with the system C compiler on first use (a
  * process's first table build or BA graph), caches the shared library and
  * loads it with ctypes.PyDLL, which holds the interpreter lock during the call
- * and raises the exception a failing call sets.
+ * and raises the exception a failing call sets.  Its SIGNATURES table holds
+ * the ctypes signature of every non-static glbopt_* function defined here.
  *
  * Table: the objects are the ones the Python tail makes: per column a tuple
  * of (k, j, w, last) entries, k and j taken from one list of index ints, one

@@ -26,7 +26,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import sparse
 
-from .linear import LinearGlbProblem, _collector_paused, _native_ba_targets, contraction_rates
+from . import _native
+from .linear import LinearGlbProblem, _collector_paused, contraction_rates
 
 
 class InstanceFormatError(ValueError):
@@ -168,12 +169,12 @@ def _ba_edges(n, m, draws):
     """
     if m < 1 or n <= m:
         raise ValueError(f"Barabasi-Albert needs 1 <= m < n, got m={m}, n={n}")
-    native = _native_ba_targets()
+    native = _native.function("glbopt_ba_targets")
     if native is None:
         lo = np.array(_ba_targets(n, m, draws), dtype=np.int64)
     else:
         lo = np.empty((n - m) * m, dtype=np.int64)
-        native(n, m, draws._raw, _RAW_BLOCK, lo.ctypes.data)
+        native(n, m, draws._raw, _RAW_BLOCK, lo)
     hi = np.repeat(np.arange(m, n, dtype=np.int64), m)
     order = np.lexsort((hi, lo))
     return np.column_stack((lo[order], hi[order]))

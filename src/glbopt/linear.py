@@ -11,19 +11,16 @@ program.
 from __future__ import annotations
 
 import contextlib
-import functools
 import gc
 import math
-import os
-import sys
 import time
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 
+from . import _native
 from .lattice import (
     OpCounter, SolveReport, _check_start, _full_sweeps, _out_of_updates, _report, _start,
     _update_budget,
@@ -225,7 +222,7 @@ def _update_table(pieces, n):
     """The table of ``_selective_tables`` (L >= 1), built from one CSC matrix.
 
     The arrays come from scipy; the tuples from ``_native.c`` when it can be
-    built and loaded (:func:`_native_table_builder`), else from
+    built and loaded (:func:`glbopt._native.function`), else from
     :func:`_python_columns`.  Both make the same objects.  The build runs
     with the collector paused: it makes only acyclic tuples, so the
     collections its allocations would trigger rescan the growing table and
@@ -242,13 +239,13 @@ def _update_table(pieces, n):
     last[csc.indptr[1:] - 1] = True  # a column's last entry ends its row
     ptr, k, w = csc.indptr.astype(np.int64), ell * n + j, csc.data
     del coos, csc, ell  # free the arrays before the entries are made
-    build = _native_table_builder()
+    build = _native.function("glbopt_fill_update_table")
     if build is None:
         return _python_columns(L * n, ptr, k, j, w, last)
     arrays = [np.ascontiguousarray(a, dtype) for a, dtype in (
         (ptr, np.int64), (k, np.int64), (j, np.int64), (w, np.float64), (last, np.bool_))]
     cols = []
-    build(cols, list(range(L * n)), n, *(a.ctypes.data for a in arrays))
+    build(cols, list(range(L * n)), n, *arrays)
     return cols
 
 
@@ -261,114 +258,6 @@ def _python_columns(size, ptr, k, j, w, last):
     del index
     entries = tuple(zip(ks, js, w, last))
     return [entries[ptr[i]:ptr[i + 1]] for i in range(len(ptr) - 1)]
-
-
-_NATIVE_SOURCE = Path(__file__).with_name("_native.c")
-_native_fallback = None  # why the native functions are not in use, once a load failed
-
-
-# The modules that build and load the native library are imported where they
-# are used: only a process's first table build or BA graph needs them, and at
-# module top they add tens of milliseconds to ``import glbopt``.
-
-
-def _compile_command(source, out):
-    """The system C compiler's command that builds ``source`` into the shared library ``out``."""
-    import shlex
-    import sysconfig
-
-    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    include = sysconfig.get_paths()["include"]
-    return [*cc, "-O2", "-shared", "-fPIC", f"-I{include}", "-o", str(out), str(source)]
-
-
-def _native_library_path():
-    """Where ``_native.c`` compiled for this interpreter is cached.
-
-    The file lives in ``$XDG_CACHE_HOME/glbopt`` (default ``~/.cache/glbopt``)
-    under a name keyed by the source, the interpreter and the compile command
-    less its file names, so a changed compiler or flag builds anew.
-    """
-    import hashlib
-    import sysconfig
-
-    placeholders = ("\0source", "\0out")
-    command = [arg for arg in _compile_command(*placeholders) if arg not in placeholders]
-    key = hashlib.sha256(b"\0".join([
-        _NATIVE_SOURCE.read_bytes(), sys.version.encode(),
-        (sysconfig.get_config_var("EXT_SUFFIX") or "").encode(), *map(str.encode, command),
-    ])).hexdigest()
-    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "glbopt"
-    return cache / f"_native-{key[:32]}.so"
-
-
-def _load_native_library():
-    """``_native.c`` compiled for this interpreter, loaded with ``ctypes.PyDLL``.
-
-    It is built on first use at :func:`_native_library_path`: compiled to a
-    temporary name and renamed into place, so no reader sees a partial file.
-    A cached file that does not load, such as a truncated one, is removed and
-    built once more.
-    """
-    import ctypes
-    import subprocess
-    import tempfile
-
-    lib = _native_library_path()
-    if lib.exists():
-        try:
-            return ctypes.PyDLL(str(lib))
-        except OSError:
-            lib.unlink(missing_ok=True)
-    lib.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(suffix=".so.tmp", dir=lib.parent)
-    os.close(fd)
-    try:
-        subprocess.run(_compile_command(_NATIVE_SOURCE, tmp), check=True,
-                       stdin=subprocess.DEVNULL, capture_output=True)
-        os.replace(tmp, lib)
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-    return ctypes.PyDLL(str(lib))
-
-
-@functools.cache
-def _native_functions():
-    """The C functions of ``_native.c`` as ``(fill_update_table, ba_targets)``,
-    or None when the library cannot be compiled or loaded here; the reason is
-    kept in ``_native_fallback``.  Runs once per process."""
-    import ctypes
-    import subprocess
-
-    global _native_fallback
-    try:
-        lib = _load_native_library()
-        fill, ba = lib.glbopt_fill_update_table, lib.glbopt_ba_targets
-    except (OSError, subprocess.SubprocessError, AttributeError, RuntimeError) as exc:
-        stderr = getattr(exc, "stderr", None)
-        _native_fallback = f"{exc!r}" + (f": {stderr.decode(errors='replace')}" if stderr else "")
-        return None
-    fill.argtypes = [ctypes.py_object, ctypes.py_object, ctypes.c_ssize_t] + [ctypes.c_void_p] * 5
-    fill.restype = ctypes.c_int
-    ba.argtypes = [ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.py_object, ctypes.c_ssize_t,
-                   ctypes.c_void_p]
-    ba.restype = ctypes.c_int
-    _native_fallback = None
-    return fill, ba
-
-
-def _native_table_builder():
-    """The C function that makes the table's tuples, or None (see :func:`_native_functions`)."""
-    native = _native_functions()
-    return None if native is None else native[0]
-
-
-def _native_ba_targets():
-    """The C attachment loop of ``instances._ba_edges``, or None (see
-    :func:`_native_functions`)."""
-    native = _native_functions()
-    return None if native is None else native[1]
 
 
 def contraction_rates(p: LinearGlbProblem) -> tuple[float, float]:

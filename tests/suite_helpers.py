@@ -1,14 +1,20 @@
-"""Shared instance builders, reference implementations and an exact residual
-for the property and acceptance tests."""
+"""Shared instance builders, reference implementations, an exact residual
+and the native-library skip helpers for the property and acceptance tests."""
 
 import math
+import shlex
+import shutil
+import sysconfig
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
+import pytest
 from scipy import sparse
 
 from glbopt import (
     LinearGlbProblem,
+    _native,
     gen_graph,
     random_linear_problem,
     rescale_to_gamma,
@@ -22,6 +28,30 @@ DEEP_DOCUMENTS = {
     "meta": '{"n": 1, "pieces": [], "U": [1.0], "meta": {"x": '
             + "[" * 200_000 + "]" * 200_000 + "}}",
 }
+
+
+def compiler_or_skip():
+    """Skip the test unless the system C compiler and ``Python.h`` are present."""
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
+    header = Path(sysconfig.get_paths()["include"]) / "Python.h"
+    if shutil.which(cc) is None or not header.is_file():
+        pytest.skip("no C compiler or no Python.h")
+
+
+def native_or_skip(name):
+    """The C function ``name`` of the native library; skip the test when the
+    library is not loaded."""
+    function = _native.function(name)
+    if function is None:
+        pytest.skip(f"native library unavailable: {_native.fallback}")
+    return function
+
+
+def python_path_for(monkeypatch, name):
+    """Make ``_native.function(name)`` None for the rest of the test, so the
+    Python path of that C function runs."""
+    function = _native.function
+    monkeypatch.setattr(_native, "function", lambda other: None if other == name else function(other))
 
 
 def make_random_problem(seed: int, n: int, L: int, gamma: float, cap: float = 10.0) -> LinearGlbProblem:

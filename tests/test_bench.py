@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from glbopt import bench, instances, load_instance, save_instance, LinearGlbProblem, SolveReport
+from glbopt import bench, load_instance, save_instance, LinearGlbProblem, SolveReport
 from glbopt.bench import SweepConfig, make_instance, run_sweep, solve_with_method, write_sweep_csv
 from glbopt.cli import main
 from glbopt.instances import FAMILIES, generate
-from suite_helpers import DEEP_DOCUMENTS
+from suite_helpers import DEEP_DOCUMENTS, python_path_for
 
 
 class TestCounterDiscipline:
@@ -522,7 +522,7 @@ class TestCliPythonDraws:
 
     @pytest.fixture(autouse=True)
     def _python_draws(self, monkeypatch):
-        monkeypatch.setattr(instances, "_native_ba_targets", lambda: None)
+        python_path_for(monkeypatch, "glbopt_ba_targets")
 
     @pytest.mark.parametrize("argv, digest", [pin for pin in GEN_FILE_PINS if "ba" in pin[0]])
     def test_gen_file_bytes_are_pinned(self, argv, digest, tmp_path, capsys):

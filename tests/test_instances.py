@@ -1,3 +1,4 @@
+import ctypes
 import gc
 import hashlib
 import json
@@ -40,12 +41,14 @@ from glbopt import (
     speed_planning_problem,
     to_lp_form,
 )
-from glbopt import instances, linear
+from glbopt import instances
 from glbopt.bench import SweepConfig, make_instance
 from glbopt.instances import (
     _CHUNK, FAMILIES, SEEDLESS, _ScalarDraws, _force_row_sums, generate, hjb_preset,
 )
-from suite_helpers import DEEP_DOCUMENTS, force_row_sum, reference_hjb_grid_problem
+from suite_helpers import (
+    DEEP_DOCUMENTS, force_row_sum, native_or_skip, python_path_for, reference_hjb_grid_problem,
+)
 
 
 # graphs and the first 32 hex digits of the sha256 of their edge arrays
@@ -272,7 +275,7 @@ class TestBaPythonDraws:
     def _python_draws(self, monkeypatch):
         calls = []
         python_loop = instances._ba_targets
-        monkeypatch.setattr(instances, "_native_ba_targets", lambda: None)
+        python_path_for(monkeypatch, "glbopt_ba_targets")
         monkeypatch.setattr(instances, "_ba_targets",
                             lambda *args: calls.append(args) or python_loop(*args))
         yield
@@ -287,13 +290,6 @@ class TestBaPythonDraws:
     @pytest.mark.parametrize("params", [{"m": 1}, {"m": 5}], ids=["ba-m1", "ba-m5"])
     def test_matches_scalar_generator_draws(self, params, n):
         TestGraphGenerators.test_matches_scalar_generator_draws(self, "ba", params, n)
-
-
-def _native_ba_or_skip():
-    native = instances._native_ba_targets()
-    if native is None:
-        pytest.skip(f"native library unavailable: {linear._native_fallback}")
-    return native
 
 
 def _served_words(seed, crafted):
@@ -325,36 +321,46 @@ class TestNativeBaDraws:
            st.integers(0, 2**64 - 1), st.integers(1, 7), st.booleans())
     def test_equals_python_loop(self, m_n, seed, block, crafted):
         # blocks of a few words run out in the middle of a node's draws
-        native = _native_ba_or_skip()
+        native = native_or_skip("glbopt_ba_targets")
         m, n = m_n
         linked = np.empty((n - m) * m, dtype=np.int64)
-        native(n, m, _served_words(seed, crafted), block, linked.ctypes.data)
+        native(n, m, _served_words(seed, crafted), block, linked)
         words = SimpleNamespace(random_raw=_served_words(seed, crafted))
         draws = _ScalarDraws(SimpleNamespace(bit_generator=words))
         assert linked.tolist() == instances._ba_targets(n, m, draws)
 
     def test_error_of_random_raw_propagates(self):
-        native = _native_ba_or_skip()
+        native = native_or_skip("glbopt_ba_targets")
 
         def raw(size):
             raise KeyError("raw")
 
         with pytest.raises(KeyError, match="raw"):
-            native(10, 2, raw, 4, np.empty(16, dtype=np.int64).ctypes.data)
+            native(10, 2, raw, 4, np.empty(16, dtype=np.int64))
 
     @pytest.mark.parametrize("block", [np.zeros(4, dtype=np.float32),
                                        np.zeros(0, dtype=np.uint64)])
     def test_words_must_be_a_nonempty_uint64_array(self, block):
-        native = _native_ba_or_skip()
+        native = native_or_skip("glbopt_ba_targets")
         with pytest.raises(TypeError, match="uint64"):
-            native(10, 2, lambda size: block, 4, np.empty(16, dtype=np.int64).ctypes.data)
+            native(10, 2, lambda size: block, 4, np.empty(16, dtype=np.int64))
+
+    @pytest.mark.parametrize("out", ["int32", "strided", "read-only"])
+    def test_output_must_be_a_writeable_contiguous_int64_array(self, out):
+        # the ctypes signature checks the array before C gets its pointer
+        native = native_or_skip("glbopt_ba_targets")
+        linked = {"int32": np.empty(16, dtype=np.int32), "strided": np.empty(32, dtype=np.int64)[::2],
+                  "read-only": np.empty(16, dtype=np.int64)}[out]
+        linked.setflags(write=out != "read-only")
+        with pytest.raises(ctypes.ArgumentError):
+            native(10, 2, instances._rng(1).bit_generator.random_raw, 4, linked)
 
     def test_sizes_are_checked(self):
-        native = _native_ba_or_skip()
+        native = native_or_skip("glbopt_ba_targets")
         raw = instances._rng(1).bit_generator.random_raw
         for n, m, block in [(5, 5, 4), (5, 0, 4), (5, 2, 0)]:
             with pytest.raises(ValueError, match="need 1 <= m < n"):
-                native(n, m, raw, block, np.empty(16, dtype=np.int64).ctypes.data)
+                native(n, m, raw, block, np.empty(16, dtype=np.int64))
 
 
 class TestRandomLinearProblem:

@@ -1,14 +1,11 @@
 import gc
 import hashlib
 import importlib.resources
-import shlex
-import shutil
+import re
 import sys
-import sysconfig
 import time
 import weakref
 from contextlib import nullcontext
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,11 +34,13 @@ from glbopt import (
     to_lp_form,
     write_lp,
 )
-from glbopt import linear
+from glbopt import _native, linear
 from glbopt.bench import SELECTIVE_METHODS, SweepConfig, make_instance, solve_with_method
 from glbopt.queues import POLICIES
 
-from suite_helpers import exact_residual, make_random_problem
+from suite_helpers import (
+    compiler_or_skip, exact_residual, make_random_problem, native_or_skip, python_path_for,
+)
 
 
 class TestGlbEval:
@@ -258,7 +257,7 @@ class TestSelectiveTablesPythonBuilder(TestSelectiveTables):
 
     @pytest.fixture(autouse=True)
     def _python_builder(self, monkeypatch):
-        monkeypatch.setattr(linear, "_native_table_builder", lambda: None)
+        python_path_for(monkeypatch, "glbopt_fill_update_table")
 
     # hypothesis refuses to run one @given test from two classes, so it is restated here
     @settings(max_examples=150, deadline=None)
@@ -267,18 +266,13 @@ class TestSelectiveTablesPythonBuilder(TestSelectiveTables):
         assert [list(c) for c in p._selective_tables()] == reference_tables(p)
 
 
-def _native_builder_or_skip():
-    if linear._native_table_builder() is None:
-        pytest.skip(f"native table builder unavailable: {linear._native_fallback}")
-
-
 @pytest.fixture
 def fresh_native_load():
     """Forget the process's native builder before and after the test, so the
     test loads its own and later tests load the usual one again."""
-    linear._native_functions.cache_clear()
+    _native.load.cache_clear()
     yield
-    linear._native_functions.cache_clear()
+    _native.load.cache_clear()
 
 
 def _failing_compile(source, out):
@@ -294,7 +288,7 @@ def _garbage_library(source, out):
 
 class TestTableBuilders:
     def test_native_build_is_untracked_from_birth(self):
-        _native_builder_or_skip()
+        native_or_skip("glbopt_fill_update_table")
         p = make_instance(SweepConfig(family="ba"), 300, seed=3)
         gc.disable()  # no collection may run between the build and the check
         try:
@@ -308,7 +302,7 @@ class TestTableBuilders:
 
     @pytest.mark.parametrize("family", ["ba", "speedplan", "hjb"])
     def test_selective_reports_do_not_depend_on_the_builder(self, family, monkeypatch):
-        _native_builder_or_skip()
+        native_or_skip("glbopt_fill_update_table")
 
         def reports():
             out = []
@@ -321,23 +315,20 @@ class TestTableBuilders:
             return out
 
         native = reports()
-        monkeypatch.setattr(linear, "_native_table_builder", lambda: None)
+        python_path_for(monkeypatch, "glbopt_fill_update_table")
         assert reports() == native
         assert len(native) == 8
 
     def test_native_builder_is_used_where_it_can_be_built(self):
-        cc = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
-        header = Path(sysconfig.get_paths()["include"]) / "Python.h"
-        if shutil.which(cc) is None or not header.is_file():
-            pytest.skip("no C compiler or no Python.h")
-        assert linear._native_table_builder() is not None, linear._native_fallback
+        compiler_or_skip()
+        assert _native.function("glbopt_fill_update_table") is not None, _native.fallback
 
     def test_native_builder_compiles_into_the_cache(self, fresh_native_load, tmp_path,
                                                     monkeypatch):
-        _native_builder_or_skip()
-        linear._native_functions.cache_clear()
+        native_or_skip("glbopt_fill_update_table")
+        _native.load.cache_clear()
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        assert linear._native_table_builder() is not None, linear._native_fallback
+        assert _native.function("glbopt_fill_update_table") is not None, _native.fallback
         assert [f.suffix for f in (tmp_path / "glbopt").iterdir()] == [".so"]
 
     @pytest.mark.parametrize("fault", ["compile-error", "no-compiler", "cache-not-a-dir",
@@ -349,77 +340,82 @@ class TestTableBuilders:
         else:
             command = {"compile-error": _failing_compile, "load-error": _garbage_library,
                        "no-compiler": lambda source, out: [str(tmp_path / "no-such-cc")]}[fault]
-            monkeypatch.setattr(linear, "_compile_command", command)
+            monkeypatch.setattr(_native, "compile_command", command)
         p = make_instance(SweepConfig(family="ba"), 200, seed=3)
         cols = p._selective_tables()
         assert [list(c) for c in cols] == reference_tables(p)
-        assert linear._native_table_builder() is None
-        assert linear._native_fallback
+        assert _native.function("glbopt_fill_update_table") is None
+        assert _native.fallback
         if fault in ("compile-error", "no-compiler"):
             assert list((tmp_path / "glbopt").iterdir()) == []
         if fault == "compile-error":
-            assert "CalledProcessError" in linear._native_fallback
+            assert "CalledProcessError" in _native.fallback
 
     def test_source_ships_as_package_data(self):
         assert (importlib.resources.files("glbopt") / "_native.c").is_file()
 
 
-def _compiler_or_skip():
-    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
-    header = Path(sysconfig.get_paths()["include"]) / "Python.h"
-    if shutil.which(cc) is None or not header.is_file():
-        pytest.skip("no C compiler or no Python.h")
-
-
 class TestNativeLibrary:
     def test_native_ba_draws_are_used_where_they_can_be_built(self):
-        _compiler_or_skip()
-        assert linear._native_ba_targets() is not None, linear._native_fallback
+        compiler_or_skip()
+        assert _native.function("glbopt_ba_targets") is not None, _native.fallback
 
     def test_cached_file_that_does_not_load_is_rebuilt(self, fresh_native_load, tmp_path,
                                                         monkeypatch):
-        _native_builder_or_skip()
-        linear._native_functions.cache_clear()
+        native_or_skip("glbopt_fill_update_table")
+        _native.load.cache_clear()
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        lib = linear._native_library_path()
+        lib = _native.library_path()
         lib.parent.mkdir()
         lib.write_text("not a library")
-        assert linear._native_functions() is not None, linear._native_fallback
+        assert _native.load() is not None, _native.fallback
         assert list(lib.parent.iterdir()) == [lib]
         assert lib.read_bytes() != b"not a library"
 
     def test_cached_file_that_does_not_load_is_removed_when_rebuilding_fails(
             self, fresh_native_load, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        monkeypatch.setattr(linear, "_compile_command", _failing_compile)
-        lib = linear._native_library_path()
+        monkeypatch.setattr(_native, "compile_command", _failing_compile)
+        lib = _native.library_path()
         lib.parent.mkdir()
         lib.write_text("not a library")
-        assert linear._native_functions() is None
-        assert "CalledProcessError" in linear._native_fallback
+        assert _native.load() is None
+        assert "CalledProcessError" in _native.fallback
         assert list(lib.parent.iterdir()) == []
 
     def test_library_is_keyed_on_the_compile_command(self, fresh_native_load, tmp_path,
                                                      monkeypatch):
-        _native_builder_or_skip()
+        native_or_skip("glbopt_fill_update_table")
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        compile_command = linear._compile_command
+        compile_command = _native.compile_command
         for define in ([], ["-DGLBOPT_KEY_PROBE"]):
-            monkeypatch.setattr(linear, "_compile_command",
+            monkeypatch.setattr(_native, "compile_command",
                                 lambda source, out: [*compile_command(source, out), *define])
-            linear._native_functions.cache_clear()
-            assert linear._native_functions() is not None, linear._native_fallback
+            _native.load.cache_clear()
+            assert _native.load() is not None, _native.fallback
         assert [f.suffix for f in (tmp_path / "glbopt").iterdir()] == [".so", ".so"]
 
     def test_key_is_the_source_text_not_its_path(self, tmp_path, monkeypatch):
         # every checkout of the same source shares one build
-        path = linear._native_library_path()
+        path = _native.library_path()
         copy = tmp_path / "_native.c"
-        copy.write_bytes(linear._NATIVE_SOURCE.read_bytes())
-        monkeypatch.setattr(linear, "_NATIVE_SOURCE", copy)
-        assert linear._native_library_path() == path
+        copy.write_bytes(_native.SOURCE.read_bytes())
+        monkeypatch.setattr(_native, "SOURCE", copy)
+        assert _native.library_path() == path
         copy.write_bytes(copy.read_bytes() + b"\n")
-        assert linear._native_library_path() != path
+        assert _native.library_path() != path
+
+    def test_relative_cache_home_is_ignored(self, tmp_path, monkeypatch):
+        # the XDG Base Directory spec: a relative $XDG_CACHE_HOME is invalid
+        monkeypatch.setenv("XDG_CACHE_HOME", "relcache")
+        monkeypatch.setenv("HOME", str(tmp_path))
+        assert _native.library_path().parent == tmp_path / ".cache" / "glbopt"
+
+    def test_signatures_are_the_exported_functions(self):
+        # every non-static glbopt_* function of _native.c, and nothing else
+        source = _native.SOURCE.read_text()
+        exported = re.findall(r"^(static\s+)?int\s+(glbopt_\w+)\s*\(", source, re.MULTILINE)
+        assert sorted(name for static, name in exported if not static) == sorted(_native.SIGNATURES)
 
 
 class TestContractionRates:
