@@ -95,6 +95,8 @@ class SweepConfig:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
+        if not (self.max_iter is None or self.max_iter >= 1):
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
         if not all(eps > 0 for eps in self.tolerances):
             raise ValueError("tolerances must be positive")
         for m in self.methods:

@@ -172,16 +172,20 @@ def error_bound(delta: float, eps: float) -> float:
     return eps / delta
 
 
-def _start(n: int, x0, eps: float, policy: str | None = None) -> tuple[np.ndarray, SolveReport | None]:
+def _start(n: int, x0, eps: float, policy: str | None = None,
+           max_iter: int | None = None) -> tuple[np.ndarray, SolveReport | None]:
     """Checked float copy of the start point, and the finished report when n == 0.
 
     Rejects an ``eps`` that is not > 0 (NaN included), an unknown ``policy``
-    (when one is given), and a start point of the wrong shape or non-finite.
+    (when one is given), a ``max_iter`` below 1 (None sets no budget), and a
+    start point of the wrong shape or non-finite.
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     if policy is not None and policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
+    if not (max_iter is None or max_iter >= 1):
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     x = np.array(x0, dtype=float)
     if x.shape != (n,):
         raise ValueError(f"x0 must have shape ({n},), got {x.shape}")
@@ -275,7 +279,7 @@ def _full_sweeps(
     """The sweep loop ``x <- evaluate(x)`` behind every full-sweep solver;
     ``rate`` and ``lower_bound`` size the default budget, the error bound
     and the feasible flag."""
-    x, empty = _start(n, x0, eps)
+    x, empty = _start(n, x0, eps, max_iter=max_iter)
     if empty is not None:
         return empty
     start_muls = counter.multiplications if counter is not None else 0
@@ -342,7 +346,7 @@ def selective_update_solve(
     every main-loop head; it must not mutate them.
     """
     n = g.n
-    x, empty = _start(n, g.cap if x0 is None else x0, eps, policy)
+    x, empty = _start(n, g.cap if x0 is None else x0, eps, policy, max_iter)
     if empty is not None:
         return empty
     start_muls = counter.multiplications if counter is not None else 0

@@ -242,10 +242,8 @@ def _update_table(pieces, n):
     build = _native.function("glbopt_fill_update_table")
     if build is None:
         return _python_columns(L * n, ptr, k, j, w, last)
-    arrays = [np.ascontiguousarray(a, dtype) for a, dtype in (
-        (ptr, np.int64), (k, np.int64), (j, np.int64), (w, np.float64), (last, np.bool_))]
     cols = []
-    build(cols, list(range(L * n)), n, *arrays)
+    build(cols, list(range(L * n)), n, ptr, k, j, w, last)
     return cols
 
 
@@ -397,7 +395,7 @@ def _fresh_state(p, x_arr):
 
 
 def _selective_run(p, rate, x0, eps, policy, monitor, max_iter):
-    x_arr, empty = _start(p.n, p.U if x0 is None else x0, eps, policy)
+    x_arr, empty = _start(p.n, p.U if x0 is None else x0, eps, policy, max_iter)
     if empty is not None:
         return empty
     cols = p._selective_tables()
@@ -407,58 +405,52 @@ def _selective_run(p, rate, x0, eps, policy, monitor, max_iter):
     _check_start(xi_arr, eps)
 
     x = x_arr.tolist()
-    xi = xi_arr.tolist()
-    eta = eta_arr.tolist()
-    g = g_arr.tolist()  # min(U, min_l eta_l); an eta only falls (w * v >= 0), g follows it
-
     queue = make_queue(policy)
     enqueue = queue.enqueue
-    for i in range(p.n):
-        if xi[i] > eps:
-            enqueue(i, x[i], xi[i])
-
-    budget = _update_budget(max_iter, p.n)
     dequeue = queue.dequeue
+    budget = _update_budget(max_iter, p.n)
     dequeues = 0
     updates = 0
     verify_muls = 0
+    # seed from a from-scratch state, drain the queue, check from scratch; a failed
+    # check (rounding in the kept etas hid a residual above eps) seeds again
     while True:
-        if monitor is not None:
-            monitor(x, xi)
-        try:
-            i = dequeue()
-        except QueueUnderflow:
-            eta_arr, g_arr, xi_arr = _fresh_state(p, np.array(x))
-            verify_muls += p.total_nnz
-            if xi_arr.max() <= eps:
+        xi = xi_arr.tolist()
+        eta = eta_arr.tolist()
+        g = g_arr.tolist()  # min(U, min_l eta_l); an eta only falls (w * v >= 0), g follows it
+        for j in np.flatnonzero(xi_arr > eps).tolist():
+            enqueue(j, x[j], xi[j])
+        while True:
+            if monitor is not None:
+                monitor(x, xi)
+            try:
+                i = dequeue()
+            except QueueUnderflow:
                 break
-            # rounding in the kept etas hid a residual above eps: resume from scratch
-            xi = xi_arr.tolist()
-            eta = eta_arr.tolist()
-            g = g_arr.tolist()
-            for j in np.flatnonzero(xi_arr > eps).tolist():
-                enqueue(j, x[j], xi[j])
-            continue
-        dequeues += 1
-        v = xi[i]
-        if v <= 0.0:
-            continue  # stale entry; residual already resolved by a neighbor update
-        if updates >= budget:
-            raise _out_of_updates(x, xi, budget, eps)
-        x[i] -= v
-        xi[i] = 0.0  # a piece storing A_l[i, i] refreshes it in the loop below
-        updates += 1
-        for k, j, w, last in cols[i]:
-            t = eta[k] - w * v
-            eta[k] = t
-            if t < g[j]:
-                g[j] = t
-            if last:  # row j's entries are done: refresh its residual
-                r = x[j] - g[j]
-                xi[j] = r
-                if r > eps:
-                    enqueue(j, x[j], r)
-        muls += len(cols[i])
+            dequeues += 1
+            v = xi[i]
+            if v <= 0.0:
+                continue  # stale entry; residual already resolved by a neighbor update
+            if updates >= budget:
+                raise _out_of_updates(x, xi, budget, eps)
+            x[i] -= v
+            xi[i] = 0.0  # a piece storing A_l[i, i] refreshes it in the loop below
+            updates += 1
+            for k, j, w, last in cols[i]:
+                t = eta[k] - w * v
+                eta[k] = t
+                if t < g[j]:
+                    g[j] = t
+                if last:  # row j's entries are done: refresh its residual
+                    r = x[j] - g[j]
+                    xi[j] = r
+                    if r > eps:
+                        enqueue(j, x[j], r)
+            muls += len(cols[i])
+        eta_arr, g_arr, xi_arr = _fresh_state(p, np.array(x))
+        verify_muls += p.total_nnz
+        if xi_arr.max() <= eps:
+            break
 
     return _report(np.array(x), p.a, t0, eps, policy, rate, residual=max(0.0, max(xi)),
                    muls=muls, updates=updates, dequeues=dequeues, iterations=updates,

@@ -6,7 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from glbopt import bench, load_instance, save_instance, LinearGlbProblem, SolveReport
+from glbopt import (
+    bench, fixed_point_solve, load_instance, save_instance, selective_update_solve,
+    LinearGlbProblem, MonotoneMap, SolveReport,
+)
 from glbopt.bench import SweepConfig, make_instance, run_sweep, solve_with_method, write_sweep_csv
 from glbopt.cli import main
 from glbopt.instances import FAMILIES, generate
@@ -45,6 +48,33 @@ class TestCounterDiscipline:
     def test_unknown_method_rejected(self, two_var):
         with pytest.raises(ValueError, match="unknown method"):
             solve_with_method(two_var, "simplex")
+
+
+class TestMaxIterBelowOne:
+    """A work cap below one sweep is rejected up front, by every solver loop."""
+
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    @pytest.mark.parametrize("method", bench.METHODS)
+    def test_methods_reject_it(self, two_var, method, max_iter):
+        with pytest.raises(ValueError, match=f"max_iter must be at least 1, got {max_iter}"):
+            solve_with_method(two_var, method, max_iter=max_iter)
+
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    @pytest.mark.parametrize("solver", [selective_update_solve, fixed_point_solve])
+    def test_general_solvers_reject_it(self, solver, max_iter):
+        g = MonotoneMap(2, lambda i, x: min(0.5 * x[1 - i] + 1.0, 10.0), lambda i: [1 - i],
+                        cap=[10.0, 10.0])
+        with pytest.raises(ValueError, match=f"max_iter must be at least 1, got {max_iter}"):
+            solver(g, None, 1e-9, max_iter=max_iter)
+
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_sweep_config_rejects_it(self, max_iter):
+        with pytest.raises(ValueError, match=f"max_iter must be at least 1, got {max_iter}"):
+            SweepConfig(max_iter=max_iter)
+
+    def test_solve_command_exits_one(self, two_var_file, capsys):
+        assert main(["solve", two_var_file, "--max-iter", "0"]) == 1
+        assert capsys.readouterr().err == "error: max_iter must be at least 1, got 0\n"
 
 
 class TestSweep:

@@ -1,3 +1,4 @@
+import ctypes
 import gc
 import hashlib
 import importlib.resources
@@ -318,6 +319,25 @@ class TestTableBuilders:
         python_path_for(monkeypatch, "glbopt_fill_update_table")
         assert reports() == native
         assert len(native) == 8
+
+    @pytest.mark.parametrize("name, bad", [
+        ("k", np.array([1, 0], dtype=np.int32)),
+        ("last", np.array([1.0, 1.0])),
+        ("w", np.array([0.5, 0.0, 0.5, 0.0])[::2]),
+    ], ids=["int32-k", "float-last", "strided-w"])
+    def test_arrays_must_be_contiguous_and_of_the_dtype_read(self, name, bad):
+        # the ctypes signature checks each array before C gets its pointer;
+        # the table of two_var: column i holds A[1 - i, i] = 0.5
+        build = native_or_skip("glbopt_fill_update_table")
+        arrays = {"ptr": np.array([0, 1, 2], dtype=np.int64), "k": np.array([1, 0], dtype=np.int64),
+                  "j": np.array([1, 0], dtype=np.int64), "w": np.array([0.5, 0.5]),
+                  "last": np.array([True, True])}
+        cols = []
+        build(cols, list(range(2)), 2, *arrays.values())
+        assert cols == [((1, 1, 0.5, True),), ((0, 0, 0.5, True),)]
+        arrays[name] = bad
+        with pytest.raises(ctypes.ArgumentError):
+            build([], list(range(2)), 2, *arrays.values())
 
     def test_native_builder_is_used_where_it_can_be_built(self):
         compiler_or_skip()
@@ -645,6 +665,26 @@ class TestSelectiveLinear:
             report.verify_multiplications,
             report.residual_inf.hex(),
         ) == expected
+
+    @pytest.mark.parametrize("n, seed, policy, eps", [
+        (500, 7, "fifo", 3e-11), (2000, 6, "lifo", 1e-10),
+    ])
+    def test_monitor_is_called_at_every_dequeue_attempt_across_a_resume(
+            self, n, seed, policy, eps):
+        # one call per dequeue attempt, including each attempt that finds the
+        # queue empty and ends in a from-scratch check; the first call sees
+        # the start point's residuals
+        p = make_instance(SweepConfig(family="ba"), n, seed)
+        calls = []
+
+        def monitor(x, xi):
+            calls.append(list(xi) if not calls else None)
+
+        report = selective_update_linear(p, eps=eps, policy=policy, monitor=monitor)
+        assert report.verify_multiplications == 2 * p.total_nnz  # one resume
+        checks = report.verify_multiplications // p.total_nnz
+        assert len(calls) == report.dequeues + checks
+        assert calls[0] == (p.U - p.glb_eval(p.U)).tolist()
 
     def test_stop_rule_checks_once_when_kept_state_is_exact(self, two_var):
         report = selective_update_linear(two_var, eps=1e-9)
