@@ -17,7 +17,7 @@ import numpy as np
 from . import instances
 # hjb_preset is re-exported: perfbench/workload.py builds its HJB specs through bench
 from .instances import hjb_preset, load_instance
-from .lattice import SolveReport
+from .lattice import SolveReport, _check_integer
 from .linear import (
     LinearGlbProblem,
     fixed_point_linear,
@@ -93,10 +93,9 @@ class SweepConfig:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be at least 1")
-        if not (self.max_iter is None or self.max_iter >= 1):
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
+        _check_integer("repetitions", self.repetitions, 1)
+        if self.max_iter is not None:
+            _check_integer("max_iter", self.max_iter, 1)
         if not all(eps > 0 for eps in self.tolerances):
             raise ValueError("tolerances must be positive")
         for m in self.methods:

@@ -157,18 +157,14 @@ def _cmd_export_lp(args) -> int:
     return 0
 
 
+# the required subparsers admit only these four commands
+_COMMANDS = {"gen": _cmd_gen, "solve": _cmd_solve, "sweep": _cmd_sweep, "export-lp": _cmd_export_lp}
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "export-lp":
-            return _cmd_export_lp(args)
-        raise CliError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args)
     # ValueError covers InstanceFormatError, ProblemDataError and StartPointError
     except (CliError, OSError, ValueError, NonConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

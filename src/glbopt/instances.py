@@ -27,6 +27,7 @@ import numpy as np
 from scipy import sparse
 
 from . import _native
+from .lattice import _check_integer
 from .linear import LinearGlbProblem, _collector_paused, contraction_rates
 
 
@@ -134,16 +135,16 @@ def gen_graph(tag: str, n: int, seed, **params) -> RandomGraph:
     key = tag.lower()
     draws = _ScalarDraws(_rng(seed))
     if key == "ba":
-        m = int(params.pop("m", 5))
+        m = _check_integer("m", params.pop("m", 5))
         _no_extra(params, tag)
         edges = _ba_edges(n, m, draws)
     elif key == "nws":
-        k = int(params.pop("k", 2))
+        k = _check_integer("k", params.pop("k", 2))
         p = float(params.pop("p", 3.0 / n if n else 0.0))
         _no_extra(params, tag)
         edges = _nws_edges(n, k, p, draws)
     elif key == "hk":
-        m = int(params.pop("m", 4))
+        m = _check_integer("m", params.pop("m", 4))
         p = float(params.pop("p", 0.25))
         _no_extra(params, tag)
         edges = _hk_edges(n, m, p, draws)
@@ -431,17 +432,11 @@ def speed_planning_problem(spec: SpeedPlanSpec) -> LinearGlbProblem:
     U[0] = 0.0
     U[n - 1] = 0.0
 
-    # backward piece: w_i <= h*A_T + w_{i-1}; boundary row encodes the cap
-    rows_b = np.arange(1, n)
-    back = sparse.coo_array((np.ones(n - 1), (rows_b, rows_b - 1)), shape=(n, n))
-    b_back = np.full(n, h_at)
-    b_back[0] = U[0]
-    # forward piece: w_i <= h*A_T + w_{i+1}
-    rows_f = np.arange(0, n - 1)
-    fwd = sparse.coo_array((np.ones(n - 1), (rows_f, rows_f + 1)), shape=(n, n))
-    b_fwd = np.full(n, h_at)
-    b_fwd[n - 1] = U[n - 1]
-
+    # backward piece w_i <= h*A_T + w_{i-1}, then forward piece w_i <= h*A_T + w_{i+1}
+    inner = np.arange(1, n)
+    ones = np.ones(n - 1)
+    pieces = [_band_piece(inner, inner - 1, ones, h_at, U),
+              _band_piece(inner - 1, inner, ones, h_at, U)]
     meta = {
         "generator": "speed_planning",
         "seed": None,
@@ -453,7 +448,17 @@ def speed_planning_problem(spec: SpeedPlanSpec) -> LinearGlbProblem:
             "acc_normal": spec.acc_normal,
         },
     }
-    return LinearGlbProblem([(back, b_back), (fwd, b_fwd)], U=U, meta=meta)
+    return LinearGlbProblem(pieces, U=U, meta=meta)
+
+
+def _band_piece(rows, cols, gains, offsets, cap):
+    """The piece ``(A, b)`` whose row ``rows[i]`` reads ``gains[i] *
+    w[cols[i]] + offsets[i]``; every other row is the trivially satisfied
+    cap row."""
+    n = cap.size
+    b = cap.copy()
+    b[rows] = offsets
+    return sparse.coo_array((gains, (rows, cols)), shape=(n, n)), b
 
 
 def maneuver_time(w, h: float) -> float:
@@ -547,21 +552,9 @@ def manipulator_problem(forward_gain, forward_offset, backward_gain, backward_of
         if arr.size and arr.min() < 0:
             raise ValueError(f"{name} must be nonnegative")
 
-    pieces = []
-    rows_f = np.arange(0, n - 1)
-    for j in range(p_count):
-        A = sparse.coo_array((f[j], (rows_f, rows_f + 1)), shape=(n, n))
-        b = np.empty(n)
-        b[:-1] = c[j]
-        b[n - 1] = u[n - 1]  # unconstrained row filled by the trivially satisfied cap
-        pieces.append((A, b))
-    rows_b = np.arange(1, n)
-    for j in range(p_count):
-        A = sparse.coo_array((bk[j], (rows_b, rows_b - 1)), shape=(n, n))
-        b = np.empty(n)
-        b[1:] = d[j]
-        b[0] = u[0]
-        pieces.append((A, b))
+    rows = np.arange(0, n - 1)
+    pieces = [_band_piece(rows, rows + 1, f[j], c[j], u) for j in range(p_count)]
+    pieces += [_band_piece(rows + 1, rows, bk[j], d[j], u) for j in range(p_count)]
     meta = {"generator": "manipulator", "seed": None, "params": {"p": p_count, "n": n}}
     return LinearGlbProblem(pieces, U=u, meta=meta)
 

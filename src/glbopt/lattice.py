@@ -177,21 +177,31 @@ def _start(n: int, x0, eps: float, policy: str | None = None,
     """Checked float copy of the start point, and the finished report when n == 0.
 
     Rejects an ``eps`` that is not > 0 (NaN included), an unknown ``policy``
-    (when one is given), a ``max_iter`` below 1 (None sets no budget), and a
-    start point of the wrong shape or non-finite.
+    (when one is given), a ``max_iter`` that is not an integer of at least 1
+    (None sets no budget), and a start point of the wrong shape or non-finite.
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     if policy is not None and policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-    if not (max_iter is None or max_iter >= 1):
-        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+    if max_iter is not None:
+        _check_integer("max_iter", max_iter, 1)
     x = np.array(x0, dtype=float)
     if x.shape != (n,):
         raise ValueError(f"x0 must have shape ({n},), got {x.shape}")
     if n and not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
     return x, (None if n else _report(x, None, time.perf_counter(), eps, policy, None))
+
+
+def _check_integer(name: str, value, minimum: int | None = None) -> int:
+    """``value`` as an int; a ValueError naming it unless it is a Python or
+    numpy integer (a bool is not) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
+    return int(value)
 
 
 def _check_start(xi: np.ndarray, eps: float) -> None:
@@ -373,8 +383,7 @@ def selective_update_solve(
             break
         dequeues += 1
         v = float(xi[i])
-        if v <= 0.0:
-            # Stale entry whose residual was recomputed away; nothing to do.
+        if v <= 0.0:  # stale: only a non-monotone map (never checked) lowers a queued residual
             continue
         if updates >= budget:
             raise _out_of_updates(x, xi, budget, eps)

@@ -409,7 +409,6 @@ def _selective_run(p, rate, x0, eps, policy, monitor, max_iter):
     enqueue = queue.enqueue
     dequeue = queue.dequeue
     budget = _update_budget(max_iter, p.n)
-    dequeues = 0
     updates = 0
     verify_muls = 0
     # seed from a from-scratch state, drain the queue, check from scratch; a failed
@@ -427,10 +426,8 @@ def _selective_run(p, rate, x0, eps, policy, monitor, max_iter):
                 i = dequeue()
             except QueueUnderflow:
                 break
-            dequeues += 1
+            # no stale entry: queued x_j stays put and g_j only falls (w > 0, v > eps), so xi_j > eps
             v = xi[i]
-            if v <= 0.0:
-                continue  # stale entry; residual already resolved by a neighbor update
             if updates >= budget:
                 raise _out_of_updates(x, xi, budget, eps)
             x[i] -= v
@@ -453,7 +450,7 @@ def _selective_run(p, rate, x0, eps, policy, monitor, max_iter):
             break
 
     return _report(np.array(x), p.a, t0, eps, policy, rate, residual=max(0.0, max(xi)),
-                   muls=muls, updates=updates, dequeues=dequeues, iterations=updates,
+                   muls=muls, updates=updates, dequeues=updates, iterations=updates,
                    verify_muls=verify_muls)
 
 

@@ -77,6 +77,37 @@ class TestMaxIterBelowOne:
         assert capsys.readouterr().err == "error: max_iter must be at least 1, got 0\n"
 
 
+class TestIntegerParameters:
+    """A count is a Python or numpy integer: a float or a bool is rejected, not truncated."""
+
+    @pytest.mark.parametrize("max_iter", [2.5, 17.0, True])
+    @pytest.mark.parametrize("method", bench.METHODS)
+    def test_methods_reject_a_non_integer_max_iter(self, two_var, method, max_iter):
+        with pytest.raises(ValueError, match=f"max_iter must be an integer, got {max_iter!r}"):
+            solve_with_method(two_var, method, max_iter=max_iter)
+
+    @pytest.mark.parametrize("solver", [selective_update_solve, fixed_point_solve])
+    def test_general_solvers_reject_it(self, solver):
+        g = MonotoneMap(2, lambda i, x: min(0.5 * x[1 - i] + 1.0, 10.0), lambda i: [1 - i],
+                        cap=[10.0, 10.0])
+        with pytest.raises(ValueError, match="max_iter must be an integer, got 2.5"):
+            solver(g, None, 1e-9, max_iter=2.5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_iter", 2.5), ("max_iter", True), ("repetitions", 2.5), ("repetitions", True),
+    ])
+    def test_sweep_config_rejects_it(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+            SweepConfig(**{field: value})
+
+    @pytest.mark.parametrize("method", bench.METHODS)
+    def test_numpy_integers_are_accepted(self, two_var, method):
+        report = solve_with_method(two_var, method, max_iter=np.int64(40))
+        assert report.x.tolist() == solve_with_method(two_var, method, max_iter=40).x.tolist()
+        config = SweepConfig(repetitions=np.int64(2), max_iter=np.int32(5))
+        assert (config.repetitions, config.max_iter) == (2, 5)
+
+
 class TestSweep:
     def small_config(self, **overrides):
         base = dict(
@@ -230,6 +261,10 @@ class TestSweep:
             SweepConfig(family="file")
         with pytest.raises(ValueError, match="unknown method"):
             SweepConfig(methods=("newton",))
+
+    def test_config_rejects_an_unknown_policy(self):
+        with pytest.raises(ValueError, match="unknown policy 'dfs'"):
+            SweepConfig(policies=("fifo", "dfs"))
 
     @pytest.mark.parametrize("eps", [0.0, -1e-6, math.nan])
     def test_config_rejects_a_tolerance_that_is_not_positive(self, eps):

@@ -92,6 +92,18 @@ class TestGraphGenerators:
         assert g.edge_count == (100 - 4) * 4
         assert g.edge_count >= 4 * (100 - 4 - 1)
 
+    @pytest.mark.parametrize("tag, name, value", [
+        ("ba", "m", 2.7), ("ba", "m", True), ("nws", "k", 2.5), ("hk", "m", 2.5),
+    ])
+    def test_non_integer_counts_are_rejected(self, tag, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            gen_graph(tag, 10, 1, **{name: value})
+
+    @pytest.mark.parametrize("tag, name", [("ba", "m"), ("nws", "k"), ("hk", "m")])
+    def test_numpy_integer_counts_are_accepted(self, tag, name):
+        edges = gen_graph(tag, 20, 1, **{name: np.int64(2)}).edges
+        assert np.array_equal(edges, gen_graph(tag, 20, 1, **{name: 2}).edges)
+
     def test_determinism_and_seed_sensitivity(self):
         a = gen_graph("hk", 60, seed=5)
         b = gen_graph("hk", 60, seed=5)
@@ -1408,3 +1420,51 @@ class TestNamedFamilies:
             for (A1, b1), (A2, b2) in zip(first.pieces, second.pieces)
         )
         assert (family in SEEDLESS) == same
+
+
+def _document(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+_ONES = np.ones((1, 3))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda tmp: gen_graph("nws", 10, 1, k=3), "ring degree k must be a positive even integer, got 3"),
+    (lambda tmp: gen_graph("nws", 10, 1, p=1.5), r"shortcut probability must be in \[0, 1\], got 1.5"),
+    (lambda tmp: gen_graph("hk", 10, 1, p=-0.1), r"triangle probability must be in \[0, 1\], got -0.1"),
+    (lambda tmp: random_linear_problem([]), "need at least one graph"),
+    (lambda tmp: dominant_diagonal_problem(5, 1, gamma=1.0, delta=0.5, seed=0),
+     r"gamma must be in \(0, 1\), got 1.0"),
+    (lambda tmp: dominant_diagonal_problem(5, 1, gamma=0.5, delta=0.0, seed=0),
+     r"delta must be in \(0, 1\), got 0.0"),
+    (lambda tmp: dominant_diagonal_problem(1, 1, gamma=0.5, delta=0.5, seed=0),
+     "need n >= 2 for off-diagonal structure"),
+    (lambda tmp: maneuver_time([1.0], 0.1), "need a profile of at least two samples"),
+    (lambda tmp: manipulator_problem(np.ones(3), _ONES, _ONES, _ONES, np.ones(4)),
+     r"coefficient arrays must be \(p, n-1\), got shape \(3,\)"),
+    (lambda tmp: manipulator_problem(_ONES, _ONES, np.ones((2, 3)), _ONES, np.ones(4)),
+     r"backward_gain must have shape \(1, 3\), got \(2, 3\)"),
+    (lambda tmp: manipulator_problem(_ONES, _ONES, _ONES, _ONES, np.ones(3)),
+     r"cap must have shape \(4,\), got \(3,\)"),
+    (lambda tmp: HjbGridSpec(axes=((-1.0, 1.0, 1),), controls=(0.0,), dynamics=None,
+                             running_cost=None, discount=1.0, step=0.5),
+     "each axis needs at least 2 points, got 1"),
+    (lambda tmp: HjbGridSpec(axes=((1.0, -1.0, 3),), controls=(0.0,), dynamics=None,
+                             running_cost=None, discount=1.0, step=0.5),
+     r"axis extent must satisfy lo < hi, got \(1.0, -1.0\)"),
+    (lambda tmp: hjb_preset("spiral", 5), "unknown hjb preset 'spiral'; expected const1d"),
+    (lambda tmp: load_instance(_document(tmp, {"n": 1, "pieces": {"A": []}, "U": [1.0]})),
+     "pieces must be a list"),
+    (lambda tmp: load_instance(_document(tmp, {"n": 1, "pieces": [{"A": []}], "U": [1.0]})),
+     "piece 1 must carry fields 'A' and 'b'"),
+    (lambda tmp: load_instance(_document(tmp, {"n": 1, "pieces": [[]], "U": [1.0]})),
+     "piece 1 must carry fields 'A' and 'b'"),
+], ids=["nws-k", "nws-p", "hk-p", "no-graphs", "dd-gamma", "dd-delta", "dd-n", "maneuver-length",
+        "manipulator-ndim", "manipulator-shape", "manipulator-cap", "hjb-points", "hjb-extent",
+        "hjb-preset", "pieces-not-list", "piece-fields", "piece-not-object"])
+def test_bad_input_is_rejected(tmp_path, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(tmp_path)

@@ -14,6 +14,7 @@ from glbopt import (
     error_bound,
     fixed_point_solve,
     residual,
+    selective_update_linear,
     selective_update_solve,
 )
 from glbopt.queues import POLICIES
@@ -280,9 +281,31 @@ class TestSelectiveUpdateSolve:
             selective_update_solve(two_var_map(), eps=1e-9, max_iter=16)
         assert info.value.residual_inf > 1e-9 and info.value.x.shape == (2,)
 
+    def test_non_monotone_map_reaches_the_stale_skip(self):
+        # g_1 = 30 - 3 x_0 is not monotone, and MonotoneMap does not check:
+        # updating x_0 drops x_1's queued residual from 50 to -7
+        g = MonotoneMap(2, lambda i, x: 1.0 if i == 0 else 30.0 - 3.0 * x[0],
+                        lambda i: [0] if i == 1 else [], cap=[20.0, 20.0])
+        report = selective_update_solve(g, eps=1e-9, policy="fifo")
+        assert (report.component_updates, report.dequeues) == (1, 2)
+        assert report.x.tolist() == [1.0, 20.0]
+
     def test_multiplication_counter_via_adapter(self):
         counter = OpCounter()
         report = selective_update_solve(two_var_map(counter=counter), eps=1e-9,
                                         policy="fifo", counter=counter)
         # init pass evaluates both components, then one neighbor eval per update
         assert report.scalar_multiplications == 2 + report.component_updates
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda p: MonotoneMap(-1, lambda i, x: 0.0, lambda i: [], cap=[]),
+     "dimension must be nonnegative"),
+    (lambda p: MonotoneMap(2, lambda i, x: 0.0, lambda i: [], cap=[1.0]),
+     r"cap must have shape \(2,\), got \(1,\)"),
+    (lambda p: selective_update_linear(p, policy="dfs"),
+     r"unknown policy 'dfs'; expected one of \('variation', 'value', 'fifo', 'lifo'\)"),
+], ids=["negative-dimension", "cap-shape", "unknown-policy"])
+def test_bad_input_is_rejected(two_var, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(two_var)

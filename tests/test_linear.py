@@ -92,6 +92,20 @@ class TestConstruction:
         with pytest.raises(ProblemDataError, match="U must be nonnegative"):
             LinearGlbProblem([], U=[1.0, -2.0])
 
+    @pytest.mark.parametrize("pieces, U, a, match", [
+        ([(np.array([[0.0, np.inf], [0.0, 0.0]]), np.zeros(2))], [1.0, 1.0], None,
+         "piece 1: non-finite matrix entry"),
+        ([], [[1.0, 1.0]], None, r"U must be a vector, got shape \(1, 2\)"),
+        ([], [1.0, np.nan], None, "U must be finite"),
+        ([], [1.0, 1.0], [0.0], r"a must have shape \(2,\), got \(1,\)"),
+        ([(np.zeros((2, 2)), np.zeros(2)), (np.zeros((2, 2)), np.zeros(3))], [1.0, 1.0], None,
+         r"piece 2: b must have shape \(2,\), got \(3,\)"),
+        ([(np.zeros((2, 2)), [0.0, np.inf])], [1.0, 1.0], None, "piece 1: non-finite offset entry"),
+    ], ids=["matrix-inf", "U-matrix", "U-nan", "a-shape", "b-shape", "b-inf"])
+    def test_malformed_data_rejected(self, pieces, U, a, match):
+        with pytest.raises(ProblemDataError, match=match):
+            LinearGlbProblem(pieces, U=U, a=a)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_lower_bound_is_located(self, bad):
         with pytest.raises(ProblemDataError, match=r"a must be finite, got a\[2\]"):
@@ -713,6 +727,21 @@ class TestSelectiveLinear:
         with pytest.raises(NonConvergenceError, match="after 32 component updates") as info:
             solver(two_var, eps=1e-9, max_iter=16)
         assert info.value.residual_inf > 1e-9 and info.value.x.shape == (2,)
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=small_problems())
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("solver", [selective_update_linear, selective_update_preconditioned])
+    def test_every_dequeue_is_an_update(self, solver, policy, p):
+        # a queued residual never falls (x_j holds while j waits, g_j only falls),
+        # so each dequeue lowers one component: x never rises between loop heads
+        for eps in (1e-3, 1e-9):
+            heads = []
+            report = solver(p, eps=eps, policy=policy, monitor=lambda x, xi: heads.append(list(x)))
+            steps = [np.subtract(b, a) for a, b in zip(heads, heads[1:])]
+            assert all(np.all(s <= 0.0) and np.count_nonzero(s) <= 1 for s in steps)
+            assert sum(np.count_nonzero(s) for s in steps) == report.component_updates
+            assert report.dequeues == report.component_updates == report.iterations
 
     def test_update_budget_stops_a_long_value_run(self):
         # without a budget this run makes about 15M component updates

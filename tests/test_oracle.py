@@ -65,6 +65,10 @@ class TestVerifyEpsilonSolution:
         assert verify_epsilon_solution(two_var, x, direct + 1e-15)
         assert not verify_epsilon_solution(two_var, x, direct / 2.0)
 
+    @pytest.mark.parametrize("x", [np.zeros(3), np.zeros((1, 2)), 2.0])
+    def test_wrong_shape_fails(self, two_var, x):
+        assert not verify_epsilon_solution(two_var, x, 1e3)
+
     def test_lower_bound_violation_fails(self, two_var):
         shifted = LinearGlbProblem(
             [(A, b) for A, b in two_var.pieces], U=two_var.U, a=np.array([3.0, 3.0])
