@@ -1,11 +1,13 @@
-/* The tuple tail of linear._update_table and the attachment loop of
- * instances._ba_edges, built through the C API.
+/* The tuple tail of linear._update_table, the attachment loop of
+ * instances._ba_edges and the float text of instances._float_text, built
+ * through the C API.
  *
  * _native.py compiles this file with the system C compiler on first use (a
- * process's first table build or BA graph), caches the shared library and
- * loads it with ctypes.PyDLL, which holds the interpreter lock during the call
- * and raises the exception a failing call sets.  Its SIGNATURES table holds
- * the ctypes signature of every non-static glbopt_* function defined here.
+ * process's first table build, BA graph or instance save), caches the shared
+ * library and loads it with ctypes.PyDLL, which holds the interpreter lock
+ * during the call and raises the exception a failing call sets.  Its
+ * SIGNATURES table holds the ctypes signature of every non-static glbopt_*
+ * function defined here.
  *
  * Table: the objects are the ones the Python tail makes: per column a tuple
  * of (k, j, w, last) entries, k and j taken from one list of index ints, one
@@ -16,10 +18,16 @@
  *
  * BA graphs: the draws are those of instances._ScalarDraws.integers, on the
  * same raw PCG64 words, so the edges are those of the Python loop.
+ *
+ * Float text: the str repr() gives, from the shortest digits of Ryu (Adams,
+ * "Ryu: fast float-to-string conversion", PLDI 2018), which are repr's
+ * digits, laid out as repr lays them out.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 /* Append n column tuples to the list cols.  Column i holds the entries
  * indptr[i] .. indptr[i+1]-1; entry p is (index[k[p]], index[j[p]],
@@ -217,4 +225,273 @@ done:
     PyMem_Free(chosen);
     PyMem_Free(stamp);
     return status;
+}
+
+
+/* Float text.  A finite nonzero double is mantissa * 2**e2 with a 53-bit
+ * mantissa (less for subnormals); Ryu scales the interval of values that
+ * round to it by a power of ten through 125-bit approximations of 5**q and
+ * 5**-q, and strips digits while both ends of the interval still differ.
+ * The tables hold, as (low, high) word pairs, 2**(125 + floor(log2 5**q)) //
+ * 5**q + 1 for q < POW5_INV_COUNT and the leading 125 bits of 5**i for i <
+ * POW5_COUNT; the caller computes them from exact integers. */
+#define POW5_INV_COUNT 342
+#define POW5_COUNT 326
+#define POW5_BITS 125
+
+/* The high 64 bits of the 128-bit product a * b, and its low ones in *low. */
+static uint64_t
+mul_64x64(uint64_t a, uint64_t b, uint64_t *low)
+{
+    uint64_t a_lo = (uint32_t)a, a_hi = a >> 32, b_lo = (uint32_t)b, b_hi = b >> 32;
+    uint64_t lo_lo = a_lo * b_lo, hi_lo = a_hi * b_lo;
+    uint64_t lo_hi = a_lo * b_hi, hi_hi = a_hi * b_hi;
+    uint64_t mid1 = hi_lo + (lo_lo >> 32);
+    uint64_t mid2 = lo_hi + (uint32_t)mid1;
+    *low = (mid2 << 32) | (uint32_t)lo_lo;
+    return hi_hi + (mid1 >> 32) + (mid2 >> 32);
+}
+
+/* (m * mul) >> j for a 55-bit m, a 128-bit mul and 64 < j < 128. */
+static uint64_t
+mul_shift(uint64_t m, const uint64_t *mul, int32_t j)
+{
+    uint64_t low0, low1, high0 = mul_64x64(m, mul[0], &low0);
+    uint64_t high1 = mul_64x64(m, mul[1], &low1);
+    uint64_t sum = high0 + low1;
+    high1 += sum < high0;
+    return (high1 << (128 - j)) | (sum >> (j - 64));
+}
+
+/* ceil(log2(5**e)) for e > 0 (1 for e == 0); floor(log10(2**e)) and
+ * floor(log10(5**e)) for 0 <= e <= 1650. */
+static int32_t pow5_bits(int32_t e) { return (int32_t)(((uint32_t)e * 1217359) >> 19) + 1; }
+static int32_t log10_pow2(int32_t e) { return (int32_t)(((uint32_t)e * 78913) >> 18); }
+static int32_t log10_pow5(int32_t e) { return (int32_t)(((uint32_t)e * 732923) >> 20); }
+
+static int
+multiple_of_pow5(uint64_t value, int32_t p)
+{
+    int32_t count = 0;
+    while (value % 5 == 0) {
+        value /= 5;
+        count++;
+    }
+    return count >= p;
+}
+
+/* Ryu's d2d: the shortest decimal digits that read back as the finite
+ * nonzero double with these IEEE fields, the closest to it among them, ties
+ * to an even last digit.  Returns the digits as an integer and stores in *e10
+ * the power of ten they scale by. */
+static uint64_t
+shortest_digits(uint64_t ieee_mantissa, uint32_t ieee_exponent,
+                const uint64_t *pow5_inv, const uint64_t *pow5, int32_t *e10)
+{
+    int32_t e2;
+    uint64_t m2;
+    if (ieee_exponent == 0) {  /* two more bits for the interval's ends */
+        e2 = 1 - 1023 - 52 - 2;
+        m2 = ieee_mantissa;
+    } else {
+        e2 = (int32_t)ieee_exponent - 1023 - 52 - 2;
+        m2 = ((uint64_t)1 << 52) | ieee_mantissa;
+    }
+    int accept_bounds = (m2 & 1) == 0;  /* round-to-even reads the ends back */
+    /* the value and the ends of its interval are mv, mv + 2 and mv - 1 -
+     * mm_shift quarters of 2**e2; the lower gap is half as wide at a power
+     * of two */
+    uint64_t mv = 4 * m2;
+    uint32_t mm_shift = ieee_mantissa != 0 || ieee_exponent <= 1;
+    uint64_t vr, vp, vm;
+    int vm_trailing_zeros = 0, vr_trailing_zeros = 0;
+    if (e2 >= 0) {
+        int32_t q = log10_pow2(e2) - (e2 > 3);
+        int32_t j = -e2 + q + POW5_BITS + pow5_bits(q) - 1;
+        const uint64_t *mul = pow5_inv + 2 * q;
+        *e10 = q;
+        vr = mul_shift(4 * m2, mul, j);
+        vp = mul_shift(4 * m2 + 2, mul, j);
+        vm = mul_shift(4 * m2 - 1 - mm_shift, mul, j);
+        if (q <= 21) {  /* only one of mv, mp and mm can be a multiple of 5 */
+            if (mv % 5 == 0)
+                vr_trailing_zeros = multiple_of_pow5(mv, q);
+            else if (accept_bounds)
+                vm_trailing_zeros = multiple_of_pow5(mv - 1 - mm_shift, q);
+            else
+                vp -= multiple_of_pow5(mv + 2, q);
+        }
+    } else {
+        int32_t q = log10_pow5(-e2) - (-e2 > 1);
+        int32_t i = -e2 - q;
+        int32_t j = q - (pow5_bits(i) - POW5_BITS);
+        const uint64_t *mul = pow5 + 2 * i;
+        *e10 = q + e2;
+        vr = mul_shift(4 * m2, mul, j);
+        vp = mul_shift(4 * m2 + 2, mul, j);
+        vm = mul_shift(4 * m2 - 1 - mm_shift, mul, j);
+        if (q <= 1) {  /* mv has at least two trailing zero bits, mp one */
+            vr_trailing_zeros = 1;
+            if (accept_bounds)
+                vm_trailing_zeros = mm_shift == 1;
+            else
+                vp--;
+        } else if (q < 63) {  /* is mv a multiple of 2**q */
+            vr_trailing_zeros = (mv & (((uint64_t)1 << q) - 1)) == 0;
+        }
+    }
+    int32_t removed = 0;
+    uint32_t last_removed = 0;
+    uint64_t output;
+    if (vm_trailing_zeros || vr_trailing_zeros) {
+        /* the exact products end in zeros: strip digits tracking whether
+         * those removed from vm, and from vr before the last, were zeros */
+        while (vp / 10 > vm / 10) {
+            vm_trailing_zeros &= vm % 10 == 0;
+            vr_trailing_zeros &= last_removed == 0;
+            last_removed = (uint32_t)(vr % 10);
+            vr /= 10;
+            vp /= 10;
+            vm /= 10;
+            removed++;
+        }
+        if (vm_trailing_zeros) {
+            while (vm % 10 == 0) {
+                vr_trailing_zeros &= last_removed == 0;
+                last_removed = (uint32_t)(vr % 10);
+                vr /= 10;
+                vp /= 10;
+                vm /= 10;
+                removed++;
+            }
+        }
+        if (vr_trailing_zeros && last_removed == 5 && vr % 2 == 0)
+            last_removed = 4;  /* exactly halfway: round to even */
+        output = vr + ((vr == vm && (!accept_bounds || !vm_trailing_zeros)) || last_removed >= 5);
+    } else {
+        int round_up = 0;
+        if (vp / 100 > vm / 100) {  /* two digits at a time */
+            round_up = vr % 100 >= 50;
+            vr /= 100;
+            vp /= 100;
+            vm /= 100;
+            removed += 2;
+        }
+        while (vp / 10 > vm / 10) {
+            round_up = vr % 10 >= 5;
+            vr /= 10;
+            vp /= 10;
+            vm /= 10;
+            removed++;
+        }
+        output = vr + (vr == vm || round_up);
+    }
+    *e10 += removed;
+    return output;
+}
+
+/* repr(x) for a finite double into buf (at least 32 bytes): the digits of
+ * 0.d1d2...dk * 10**decpt positionally when -4 < decpt <= 16, with ".0" when
+ * integral, and otherwise as d1[.d2...dk]e[+-]XX with at least two exponent
+ * digits.  Returns the length of the text. */
+static Py_ssize_t
+float_repr(double x, const uint64_t *pow5_inv, const uint64_t *pow5, char *buf)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    char *out = buf;
+    if (bits >> 63)
+        *out++ = '-';
+    uint64_t ieee_mantissa = bits & (((uint64_t)1 << 52) - 1);
+    uint32_t ieee_exponent = (uint32_t)(bits >> 52) & 0x7FF;
+    if (ieee_exponent == 0 && ieee_mantissa == 0) {
+        memcpy(out, "0.0", 3);
+        return out + 3 - buf;
+    }
+    int32_t e10;
+    uint64_t output = shortest_digits(ieee_mantissa, ieee_exponent, pow5_inv, pow5, &e10);
+    char digits[20];
+    int k = 20;
+    do {
+        digits[--k] = (char)('0' + output % 10);
+        output /= 10;
+    } while (output);
+    const char *d = digits + k;
+    k = 20 - k;
+    int decpt = e10 + k;
+    if (-4 < decpt && decpt <= 16) {
+        if (decpt <= 0) {
+            memcpy(out, "0.000", 2 - decpt);
+            out += 2 - decpt;
+            memcpy(out, d, k);
+            out += k;
+        } else if (decpt < k) {
+            memcpy(out, d, decpt);
+            out += decpt;
+            *out++ = '.';
+            memcpy(out, d + decpt, k - decpt);
+            out += k - decpt;
+        } else {
+            memcpy(out, d, k);
+            out += k;
+            memset(out, '0', decpt - k);
+            out += decpt - k;
+            memcpy(out, ".0", 2);
+            out += 2;
+        }
+    } else {
+        *out++ = d[0];
+        if (k > 1) {
+            *out++ = '.';
+            memcpy(out, d + 1, k - 1);
+            out += k - 1;
+        }
+        int exponent = decpt - 1;
+        *out++ = 'e';
+        *out++ = exponent < 0 ? '-' : '+';
+        if (exponent < 0)
+            exponent = -exponent;
+        if (exponent >= 100)
+            *out++ = (char)('0' + exponent / 100);
+        *out++ = (char)('0' + exponent / 10 % 10);
+        *out++ = (char)('0' + exponent % 10);
+    }
+    return out - buf;
+}
+
+/* Append repr(float(values[p])) for p = 0 .. n-1 to the list out, from the
+ * power-of-five tables described above, pow5_inv of inv_count pairs and pow5
+ * of count pairs.  Returns 0, or -1 with an exception set: ValueError for a
+ * non-finite value. */
+int
+glbopt_float_reprs(PyObject *out, const double *values, Py_ssize_t n,
+                   const uint64_t *pow5_inv, Py_ssize_t inv_count,
+                   const uint64_t *pow5, Py_ssize_t count)
+{
+    if (!PyList_Check(out)) {
+        PyErr_SetString(PyExc_TypeError, "out must be a list");
+        return -1;
+    }
+    if (inv_count != POW5_INV_COUNT || count != POW5_COUNT) {
+        PyErr_Format(PyExc_ValueError, "power-of-five tables must hold %d and %d pairs",
+                     POW5_INV_COUNT, POW5_COUNT);
+        return -1;
+    }
+    char buf[32];
+    for (Py_ssize_t p = 0; p < n; p++) {
+        if (!isfinite(values[p])) {
+            PyErr_Format(PyExc_ValueError, "values[%zd] is not finite", p);
+            return -1;
+        }
+        Py_ssize_t size = float_repr(values[p], pow5_inv, pow5, buf);
+        PyObject *text = PyUnicode_New(size, 127);
+        if (text == NULL)
+            return -1;
+        memcpy(PyUnicode_1BYTE_DATA(text), buf, size);
+        int failed = PyList_Append(out, text);
+        Py_DECREF(text);
+        if (failed)
+            return -1;
+    }
+    return 0;
 }

@@ -13,16 +13,21 @@ import subprocess
 import sys
 import sysconfig
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
 
 SOURCE = Path(__file__).with_name("_native.c")
+# a build removes the cached libraries of other sources not modified for this
+# long; a recent one may still be in use by another checkout sharing the cache
+PRUNE_AGE_S = 30 * 24 * 3600
 fallback = None  # why the native functions are not in use, once a load failed
 
 _INT64, _FLOAT64, _BOOL = (np.ctypeslib.ndpointer(dtype, ndim=1, flags="C_CONTIGUOUS")
                            for dtype in (np.int64, np.float64, np.bool_))
 _INT64_OUT = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
+_UINT64 = np.ctypeslib.ndpointer(np.uint64, ndim=1, flags="C_CONTIGUOUS")
 
 # Every exported function of _native.c: name -> (argtypes, restype).
 SIGNATURES = {
@@ -30,6 +35,8 @@ SIGNATURES = {
                                   _INT64, _INT64, _INT64, _FLOAT64, _BOOL], ctypes.c_int),
     "glbopt_ba_targets": ([ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.py_object,
                            ctypes.c_ssize_t, _INT64_OUT], ctypes.c_int),
+    "glbopt_float_reprs": ([ctypes.py_object, _FLOAT64, ctypes.c_ssize_t, _UINT64,
+                            ctypes.c_ssize_t, _UINT64, ctypes.c_ssize_t], ctypes.c_int),
 }
 
 
@@ -63,7 +70,9 @@ def _build_and_load():
     """``_native.c`` compiled for this interpreter at :func:`library_path`,
     loaded with ``ctypes.PyDLL``.  A build goes to a temporary name renamed
     into place, so no reader sees a partial file; a cached file that does
-    not load, such as a truncated one, is removed and built once more."""
+    not load, such as a truncated one, is removed and built once more.  After
+    a build, the other ``_native-*.so`` files of the cache directory whose
+    mtime is more than ``PRUNE_AGE_S`` old are removed."""
     lib = library_path()
     if lib.exists():
         try:
@@ -80,7 +89,19 @@ def _build_and_load():
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
+    _prune(lib)
     return ctypes.PyDLL(str(lib))
+
+
+def _prune(lib):
+    """Remove the siblings of ``lib`` named ``_native-*.so`` whose mtime is
+    more than ``PRUNE_AGE_S`` before now; one that vanishes or cannot be
+    removed meanwhile is left to the next build."""
+    cutoff = time.time() - PRUNE_AGE_S
+    for old in lib.parent.glob("_native-*.so"):
+        with contextlib.suppress(OSError):
+            if old != lib and old.stat().st_mtime < cutoff:
+                old.unlink()
 
 
 @functools.cache

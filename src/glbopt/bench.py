@@ -94,6 +94,8 @@ class SweepConfig:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         _check_integer("repetitions", self.repetitions, 1)
+        for size in self.sizes:
+            _check_integer("size", size)
         if self.max_iter is not None:
             _check_integer("max_iter", self.max_iter, 1)
         if not all(eps > 0 for eps in self.tolerances):

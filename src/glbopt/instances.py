@@ -18,6 +18,7 @@ them out (see :func:`save_instance`).
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -132,6 +133,7 @@ def gen_graph(tag: str, n: int, seed, **params) -> RandomGraph:
     attachment loop runs in C where the native library loads; the Python loop
     of :func:`_ba_targets` is its reference, and both give the same edges.
     """
+    n = _check_integer("n", n)
     key = tag.lower()
     draws = _ScalarDraws(_rng(seed))
     if key == "ba":
@@ -872,7 +874,9 @@ def generate(
     ``hjb`` -- :func:`hjb_preset` ``preset`` on ``n`` points per axis with
     ``discount`` and ``step``.
     """
+    n = _check_integer("n", n)
     if family in GRAPH_TAGS:
+        pieces = _check_integer("pieces", pieces)
         shape = {"m": graph_m, "k": graph_k, "p": graph_p}
         params = {key: value for key, value in shape.items() if value is not None}
         graphs = [gen_graph(family, n, seed=(seed, ell), **params) for ell in range(pieces)]
@@ -907,12 +911,37 @@ _CHUNK = 4096  # triplets formatted and written at a time
 _OPEN, _NEXT, _ITEM = "\n    [\n     ", "\n    ],\n    [\n     ", ",\n     "
 
 
+@functools.cache
+def _pow5_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The power-of-five tables of ``glbopt_float_reprs`` in ``_native.c``,
+    from exact integers, as flat (low, high) uint64 word pairs:
+    ``2**(125 + floor(log2 5**q)) // 5**q + 1`` for ``q < 342`` and the
+    leading 125 bits of ``5**i`` for ``i < 326``."""
+    inverse = [(1 << (124 + (5**q).bit_length())) // 5**q + 1 for q in range(342)]
+    leading = [(5**i << 125) >> (5**i).bit_length() for i in range(326)]
+    return tuple(np.array([(v & 0xFFFFFFFFFFFFFFFF, v >> 64) for v in table], dtype=np.uint64).ravel()
+                 for table in (inverse, leading))
+
+
 def _float_text(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(text, where)`` with ``text[where[k]] == repr(values[k])``: ``text``
     is an object array holding one ``repr`` per distinct bit pattern, so
-    ``-0.0`` keeps its own text apart from ``0.0``."""
+    ``-0.0`` keeps its own text apart from ``0.0``.
+
+    The text comes from ``glbopt_float_reprs`` in ``_native.c`` (shortest
+    digits, laid out as ``repr`` lays them out) when the native library
+    loads, and otherwise from ``repr``, the reference.
+    """
     bits, where = np.unique(values.view(np.int64), return_inverse=True)
-    return np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object), where
+    distinct = bits.view(np.float64)
+    native = _native.function("glbopt_float_reprs")
+    if native is None:
+        text = list(map(repr, distinct.tolist()))
+    else:
+        text = []
+        inverse, leading = _pow5_tables()
+        native(text, distinct, distinct.size, inverse, inverse.size // 2, leading, leading.size // 2)
+    return np.array(text, dtype=object), where
 
 
 def _json_list(values: np.ndarray, depth: int) -> str:
@@ -960,8 +989,9 @@ def save_instance(p: LinearGlbProblem, path) -> None:
     ascending), floats by ``repr``.
 
     The text comes from tables of distinct tokens: ``str(i)`` once per index
-    for the whole save, and ``repr`` once per distinct bit pattern of each
-    vector and of each piece's values (:func:`_float_text`).  Triplets are
+    for the whole save, and the ``repr`` text, made in C where the native
+    library loads, once per distinct bit pattern of each vector and of each
+    piece's values (:func:`_float_text`).  Triplets are
     assembled and written ``_CHUNK`` at a time (:func:`_write_triplets`), so
     no per-entry Python objects outlive a chunk.
     """

@@ -100,6 +100,11 @@ class TestIntegerParameters:
         with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
             SweepConfig(**{field: value})
 
+    @pytest.mark.parametrize("size", [20.5, True])
+    def test_sweep_config_rejects_a_non_integer_size(self, size):
+        with pytest.raises(ValueError, match=f"size must be an integer, got {size!r}"):
+            SweepConfig(sizes=(20, size))
+
     @pytest.mark.parametrize("method", bench.METHODS)
     def test_numpy_integers_are_accepted(self, two_var, method):
         report = solve_with_method(two_var, method, max_iter=np.int64(40))
@@ -590,5 +595,17 @@ class TestCliPythonDraws:
         python_path_for(monkeypatch, "glbopt_ba_targets")
 
     @pytest.mark.parametrize("argv, digest", [pin for pin in GEN_FILE_PINS if "ba" in pin[0]])
+    def test_gen_file_bytes_are_pinned(self, argv, digest, tmp_path, capsys):
+        TestCli.test_gen_file_bytes_are_pinned(self, argv, digest, tmp_path, capsys)
+
+
+class TestCliPythonFloatText:
+    """Every file pin again, with floats written by ``repr`` in place of ``_native.c``."""
+
+    @pytest.fixture(autouse=True)
+    def _python_text(self, monkeypatch):
+        python_path_for(monkeypatch, "glbopt_float_reprs")
+
+    @pytest.mark.parametrize("argv, digest", GEN_FILE_PINS)
     def test_gen_file_bytes_are_pinned(self, argv, digest, tmp_path, capsys):
         TestCli.test_gen_file_bytes_are_pinned(self, argv, digest, tmp_path, capsys)

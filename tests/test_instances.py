@@ -47,7 +47,8 @@ from glbopt.instances import (
     _CHUNK, FAMILIES, SEEDLESS, _ScalarDraws, _force_row_sums, generate, hjb_preset,
 )
 from suite_helpers import (
-    DEEP_DOCUMENTS, force_row_sum, native_or_skip, python_path_for, reference_hjb_grid_problem,
+    DEEP_DOCUMENTS, compiler_or_skip, force_row_sum, native_or_skip, python_path_for,
+    reference_hjb_grid_problem,
 )
 
 
@@ -373,6 +374,84 @@ class TestNativeBaDraws:
         for n, m, block in [(5, 5, 4), (5, 0, 4), (5, 2, 0)]:
             with pytest.raises(ValueError, match="need 1 <= m < n"):
                 native(n, m, raw, block, np.empty(16, dtype=np.int64))
+
+
+def _native_reprs(values):
+    """``glbopt_float_reprs`` on ``values``, as ``_float_text`` calls it."""
+    native = native_or_skip("glbopt_float_reprs")
+    values = np.asarray(values, dtype=np.float64)
+    inverse, leading = instances._pow5_tables()
+    text = []
+    native(text, values, values.size, inverse, inverse.size // 2, leading, leading.size // 2)
+    return text
+
+
+def _assert_reprs(values):
+    """The C text of ``values`` and of their negations is ``repr``'s."""
+    values = np.asarray(values, dtype=np.float64)
+    values = np.concatenate([values, -values])
+    text, expected = _native_reprs(values), list(map(repr, values.tolist()))
+    wrong = [(got, want) for got, want in zip(text, expected) if got != want]
+    assert len(text) == len(expected) and not wrong, wrong[:5]
+
+
+class TestNativeFloatText:
+    """``glbopt_float_reprs`` against ``repr``, its reference."""
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(2018).integers(0, 2**64, size=10**6, dtype=np.uint64)
+        values = bits.view(np.float64)
+        _assert_reprs(values[np.isfinite(values)])
+
+    def test_powers_of_two(self):
+        _assert_reprs([math.ldexp(1.0, k) for k in range(-1074, 1024)])
+
+    def test_powers_of_ten(self):
+        _assert_reprs([float(f"1e{k}") for k in range(-323, 309)])
+
+    def test_integers_near_two_to_the_53(self):
+        _assert_reprs([float(2**53 + d) for d in range(-100, 101)])
+
+    @pytest.mark.parametrize("k", [60, 70, 80, 100])
+    def test_multiples_of_large_powers_of_two(self, k):
+        _assert_reprs([float(i * 2**k) for i in range(1, 2001)])
+
+    def test_special_values_and_layout_edges(self):
+        # zero, the smallest subnormal, the smallest normal, the largest
+        # double, then the switches between positional and exponent form
+        _assert_reprs([0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                       1e-4, 1e-5, 9999999999999998.0, 1e16])
+        assert _native_reprs([0.0, -0.0, 1e-4, 1e-5, 1e16, 1.5e300]) == [
+            "0.0", "-0.0", "0.0001", "1e-05", "1e+16", "1.5e+300"]
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_any_finite_float(self, x):
+        assert _native_reprs([x]) == [repr(x)]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_are_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"values\[1\] is not finite"):
+            _native_reprs([1.0, bad])
+
+    def test_tables_must_have_their_sizes(self):
+        native = native_or_skip("glbopt_float_reprs")
+        inverse, leading = instances._pow5_tables()
+        with pytest.raises(ValueError, match="must hold 342 and 326 pairs"):
+            native([], np.ones(1), 1, inverse, inverse.size // 2, leading[:-2],
+                   leading.size // 2 - 1)
+
+    def test_save_uses_the_native_formatter_where_it_can_be_built(self, monkeypatch, tmp_path):
+        compiler_or_skip()
+        native = instances._native.function("glbopt_float_reprs")
+        assert native is not None, instances._native.fallback
+        calls = []
+        function = instances._native.function
+        monkeypatch.setattr(instances._native, "function", lambda name: (
+            (lambda *args: calls.append(args[2]) or native(*args))
+            if name == "glbopt_float_reprs" else function(name)))
+        save_instance(make_instance(SweepConfig(family="ba"), 60, seed=3), tmp_path / "x.json")
+        assert calls  # one call per vector and per piece's values
 
 
 class TestRandomLinearProblem:
@@ -1462,9 +1541,13 @@ _ONES = np.ones((1, 3))
      "piece 1 must carry fields 'A' and 'b'"),
     (lambda tmp: load_instance(_document(tmp, {"n": 1, "pieces": [[]], "U": [1.0]})),
      "piece 1 must carry fields 'A' and 'b'"),
+    (lambda tmp: generate("ba", 20, 1, pieces=2.5), "pieces must be an integer, got 2.5"),
+    (lambda tmp: gen_graph("ba", 20.0, 1, m=2), "n must be an integer, got 20.0"),
+    (lambda tmp: generate("ba", 20.0, 1), "n must be an integer, got 20.0"),
 ], ids=["nws-k", "nws-p", "hk-p", "no-graphs", "dd-gamma", "dd-delta", "dd-n", "maneuver-length",
         "manipulator-ndim", "manipulator-shape", "manipulator-cap", "hjb-points", "hjb-extent",
-        "hjb-preset", "pieces-not-list", "piece-fields", "piece-not-object"])
+        "hjb-preset", "pieces-not-list", "piece-fields", "piece-not-object", "generate-pieces",
+        "graph-n", "generate-n"])
 def test_bad_input_is_rejected(tmp_path, call, match):
     with pytest.raises(ValueError, match=match):
         call(tmp_path)

@@ -2,6 +2,7 @@ import ctypes
 import gc
 import hashlib
 import importlib.resources
+import os
 import re
 import sys
 import time
@@ -416,6 +417,33 @@ class TestNativeLibrary:
         assert _native.load() is None
         assert "CalledProcessError" in _native.fallback
         assert list(lib.parent.iterdir()) == []
+
+    def test_build_prunes_old_libraries_only(self, fresh_native_load, tmp_path, monkeypatch):
+        # another checkout sharing the cache may still load a recent library
+        native_or_skip("glbopt_fill_update_table")
+        _native.load.cache_clear()
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        cache = tmp_path / "glbopt"
+        cache.mkdir()
+        now = time.time()
+
+        def fake(name, age):
+            (cache / name).write_text("")
+            os.utime(cache / name, (now - age, now - age))
+
+        day = 24 * 3600
+        fake("_native-old.so", _native.PRUNE_AGE_S + day)
+        fake("_native-recent.so", _native.PRUNE_AGE_S - day)
+        fake("other-old.so", _native.PRUNE_AGE_S + day)
+        assert _native.load() is not None, _native.fallback
+        lib = _native.library_path().name
+        assert sorted(f.name for f in cache.iterdir()) == sorted(
+            [lib, "_native-recent.so", "other-old.so"])
+        # a load from the cache builds nothing and so prunes nothing
+        fake("_native-old.so", _native.PRUNE_AGE_S + day)
+        _native.load.cache_clear()
+        assert _native.load() is not None, _native.fallback
+        assert (cache / "_native-old.so").exists()
 
     def test_library_is_keyed_on_the_compile_command(self, fresh_native_load, tmp_path,
                                                      monkeypatch):
