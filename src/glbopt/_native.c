@@ -340,14 +340,22 @@ shortest_digits(uint64_t ieee_mantissa, uint32_t ieee_exponent,
             vr_trailing_zeros = (mv & (((uint64_t)1 << q) - 1)) == 0;
         }
     }
+    /* strip digits while the interval still holds a shorter number,
+     * tracking whether those removed from vm, and from vr before the last,
+     * were zeros (they can be only where an exact product ends in zeros) */
     int32_t removed = 0;
     uint32_t last_removed = 0;
-    uint64_t output;
-    if (vm_trailing_zeros || vr_trailing_zeros) {
-        /* the exact products end in zeros: strip digits tracking whether
-         * those removed from vm, and from vr before the last, were zeros */
-        while (vp / 10 > vm / 10) {
-            vm_trailing_zeros &= vm % 10 == 0;
+    while (vp / 10 > vm / 10) {
+        vm_trailing_zeros &= vm % 10 == 0;
+        vr_trailing_zeros &= last_removed == 0;
+        last_removed = (uint32_t)(vr % 10);
+        vr /= 10;
+        vp /= 10;
+        vm /= 10;
+        removed++;
+    }
+    if (vm_trailing_zeros) {
+        while (vm % 10 == 0) {
             vr_trailing_zeros &= last_removed == 0;
             last_removed = (uint32_t)(vr % 10);
             vr /= 10;
@@ -355,37 +363,11 @@ shortest_digits(uint64_t ieee_mantissa, uint32_t ieee_exponent,
             vm /= 10;
             removed++;
         }
-        if (vm_trailing_zeros) {
-            while (vm % 10 == 0) {
-                vr_trailing_zeros &= last_removed == 0;
-                last_removed = (uint32_t)(vr % 10);
-                vr /= 10;
-                vp /= 10;
-                vm /= 10;
-                removed++;
-            }
-        }
-        if (vr_trailing_zeros && last_removed == 5 && vr % 2 == 0)
-            last_removed = 4;  /* exactly halfway: round to even */
-        output = vr + ((vr == vm && (!accept_bounds || !vm_trailing_zeros)) || last_removed >= 5);
-    } else {
-        int round_up = 0;
-        if (vp / 100 > vm / 100) {  /* two digits at a time */
-            round_up = vr % 100 >= 50;
-            vr /= 100;
-            vp /= 100;
-            vm /= 100;
-            removed += 2;
-        }
-        while (vp / 10 > vm / 10) {
-            round_up = vr % 10 >= 5;
-            vr /= 10;
-            vp /= 10;
-            vm /= 10;
-            removed++;
-        }
-        output = vr + (vr == vm || round_up);
     }
+    if (vr_trailing_zeros && last_removed == 5 && vr % 2 == 0)
+        last_removed = 4;  /* exactly halfway: round to even */
+    uint64_t output = vr + ((vr == vm && (!accept_bounds || !vm_trailing_zeros))
+                            || last_removed >= 5);
     *e10 += removed;
     return output;
 }

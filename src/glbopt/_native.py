@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 SOURCE = Path(__file__).with_name("_native.c")
-# a build removes the cached libraries of other sources not modified for this
-# long; a recent one may still be in use by another checkout sharing the cache
+# a build removes the cached libraries of other sources not built or loaded for
+# this long; a recent one may still be in use by another checkout sharing the cache
 PRUNE_AGE_S = 30 * 24 * 3600
 fallback = None  # why the native functions are not in use, once a load failed
 
@@ -70,15 +70,21 @@ def _build_and_load():
     """``_native.c`` compiled for this interpreter at :func:`library_path`,
     loaded with ``ctypes.PyDLL``.  A build goes to a temporary name renamed
     into place, so no reader sees a partial file; a cached file that does
-    not load, such as a truncated one, is removed and built once more.  After
-    a build, the other ``_native-*.so`` files of the cache directory whose
-    mtime is more than ``PRUNE_AGE_S`` old are removed."""
+    not load, such as a truncated one, is removed and built once more.  A
+    load from the cache sets the file's mtime to now, so the mtime tells when
+    it was last built or loaded; after a build, the other ``_native-*.so``
+    files of the cache directory whose mtime is more than ``PRUNE_AGE_S`` old
+    are removed."""
     lib = library_path()
     if lib.exists():
         try:
-            return ctypes.PyDLL(str(lib))
+            loaded = ctypes.PyDLL(str(lib))
         except OSError:
             lib.unlink(missing_ok=True)
+        else:
+            with contextlib.suppress(OSError):  # a read-only cache still loads
+                os.utime(lib)
+            return loaded
     lib.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(suffix=".so.tmp", dir=lib.parent)
     os.close(fd)

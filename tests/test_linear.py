@@ -445,6 +445,28 @@ class TestNativeLibrary:
         assert _native.load() is not None, _native.fallback
         assert (cache / "_native-old.so").exists()
 
+    def test_load_from_the_cache_marks_the_library_recent(self, fresh_native_load, tmp_path,
+                                                          monkeypatch):
+        # a library built long ago but loaded since is in use, so no build prunes it
+        native_or_skip("glbopt_fill_update_table")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        _native.load.cache_clear()
+        assert _native.load() is not None, _native.fallback
+        lib = _native.library_path()
+        old = time.time() - _native.PRUNE_AGE_S - 24 * 3600
+        os.utime(lib, (old, old))
+        _native.load.cache_clear()
+        assert _native.load() is not None, _native.fallback
+        assert lib.stat().st_mtime > time.time() - 3600
+        # a build under another key leaves it in place
+        compile_command = _native.compile_command
+        monkeypatch.setattr(_native, "compile_command",
+                            lambda source, out: [*compile_command(source, out),
+                                                 "-DGLBOPT_KEY_PROBE"])
+        _native.load.cache_clear()
+        assert _native.load() is not None, _native.fallback
+        assert lib.exists()
+
     def test_library_is_keyed_on_the_compile_command(self, fresh_native_load, tmp_path,
                                                      monkeypatch):
         native_or_skip("glbopt_fill_update_table")
