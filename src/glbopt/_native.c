@@ -1,5 +1,5 @@
 /* The tuple tail of linear._update_table, the attachment loop of
- * instances._ba_edges and the float text of instances._float_text, built
+ * instances._ba_edges and the list text of instances.save_instance, built
  * through the C API.
  *
  * _native.py compiles this file with the system C compiler on first use (a
@@ -19,9 +19,12 @@
  * BA graphs: the draws are those of instances._ScalarDraws.integers, on the
  * same raw PCG64 words, so the edges are those of the Python loop.
  *
- * Float text: the str repr() gives, from the shortest digits of Ryu (Adams,
- * "Ryu: fast float-to-string conversion", PLDI 2018), which are repr's
- * digits, laid out as repr lays them out.
+ * List text: the bytes json.dump(..., indent=1) writes for a list of floats
+ * or of [int, ..., float] lists, made straight into a buffer of a bounded
+ * number of entries that is handed to a write callable each time it fills.
+ * Ints are written as str() writes them, floats as repr() does, from the
+ * shortest digits of Ryu (Adams, "Ryu: fast float-to-string conversion",
+ * PLDI 2018), which are repr's digits, laid out as repr lays them out.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -239,6 +242,16 @@ done:
 #define POW5_COUNT 326
 #define POW5_BITS 125
 
+#ifdef __SIZEOF_INT128__
+/* (m * mul) >> j for a 55-bit m, a 128-bit mul and 64 < j < 128. */
+static uint64_t
+mul_shift(uint64_t m, const uint64_t *mul, int32_t j)
+{
+    unsigned __int128 low = (unsigned __int128)m * mul[0];
+    unsigned __int128 high = (unsigned __int128)m * mul[1];
+    return (uint64_t)(((low >> 64) + high) >> (j - 64));
+}
+#else
 /* The high 64 bits of the 128-bit product a * b, and its low ones in *low. */
 static uint64_t
 mul_64x64(uint64_t a, uint64_t b, uint64_t *low)
@@ -262,6 +275,7 @@ mul_shift(uint64_t m, const uint64_t *mul, int32_t j)
     high1 += sum < high0;
     return (high1 << (128 - j)) | (sum >> (j - 64));
 }
+#endif
 
 /* ceil(log2(5**e)) for e > 0 (1 for e == 0); floor(log10(2**e)) and
  * floor(log10(5**e)) for 0 <= e <= 1650. */
@@ -372,7 +386,31 @@ shortest_digits(uint64_t ieee_mantissa, uint32_t ieee_exponent,
     return output;
 }
 
-/* repr(x) for a finite double into buf (at least 32 bytes): the digits of
+static const char DIGIT_PAIRS[] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* The decimal digits of v, written two at a time to end just before end.
+ * Returns where they start. */
+static char *
+put_digits(char *end, uint64_t v)
+{
+    while (v >= 100) {
+        end -= 2;
+        memcpy(end, DIGIT_PAIRS + 2 * (v % 100), 2);
+        v /= 100;
+    }
+    if (v >= 10) {
+        end -= 2;
+        memcpy(end, DIGIT_PAIRS + 2 * v, 2);
+    } else {
+        *--end = (char)('0' + v);
+    }
+    return end;
+}
+
+/* repr(x) for a finite double into buf (at least 24 bytes): the digits of
  * 0.d1d2...dk * 10**decpt positionally when -4 < decpt <= 16, with ".0" when
  * integral, and otherwise as d1[.d2...dk]e[+-]XX with at least two exponent
  * digits.  Returns the length of the text. */
@@ -393,13 +431,8 @@ float_repr(double x, const uint64_t *pow5_inv, const uint64_t *pow5, char *buf)
     int32_t e10;
     uint64_t output = shortest_digits(ieee_mantissa, ieee_exponent, pow5_inv, pow5, &e10);
     char digits[20];
-    int k = 20;
-    do {
-        digits[--k] = (char)('0' + output % 10);
-        output /= 10;
-    } while (output);
-    const char *d = digits + k;
-    k = 20 - k;
+    const char *d = put_digits(digits + 20, output);
+    int k = (int)(digits + 20 - d);
     int decpt = e10 + k;
     if (-4 < decpt && decpt <= 16) {
         if (decpt <= 0) {
@@ -441,39 +474,102 @@ float_repr(double x, const uint64_t *pow5_inv, const uint64_t *pow5, char *buf)
     return out - buf;
 }
 
-/* Append repr(float(values[p])) for p = 0 .. n-1 to the list out, from the
- * power-of-five tables described above, pow5_inv of inv_count pairs and pow5
- * of count pairs.  Returns 0, or -1 with an exception set: ValueError for a
- * non-finite value. */
-int
-glbopt_float_reprs(PyObject *out, const double *values, Py_ssize_t n,
-                   const uint64_t *pow5_inv, Py_ssize_t inv_count,
-                   const uint64_t *pow5, Py_ssize_t count)
+/* str(v) into out (at least 20 bytes); returns the end of the text. */
+static char *
+put_int(char *out, int64_t v)
 {
-    if (!PyList_Check(out)) {
-        PyErr_SetString(PyExc_TypeError, "out must be a list");
-        return -1;
-    }
+    char digits[20];
+    if (v < 0)
+        *out++ = '-';
+    const char *d = put_digits(digits + 20, v < 0 ? 0 - (uint64_t)v : (uint64_t)v);
+    memcpy(out, d, digits + 20 - d);
+    return out + (digits + 20 - d);
+}
+
+/* Hand buf[0 .. size-1] to write as a bytes object; 0, or -1 with an
+ * exception set. */
+static int
+flush_text(PyObject *write, const char *buf, Py_ssize_t size)
+{
+    PyObject *result = PyObject_CallFunction(write, "y#", buf, size);
+    Py_XDECREF(result);
+    return result == NULL ? -1 : 0;
+}
+
+/* Write a list of n entries through write(bytes): head, the entries with sep
+ * between two, then tail.  Entry p is index[p*width .. p*width + width-1],
+ * each followed by item, then repr(float(values[p])), from the power-of-five
+ * tables described above, pow5_inv of inv_count pairs and pow5 of count
+ * pairs; a value with the bit pattern of the one before it reuses its text.
+ * The text is made in a buffer of `chunk` entries, handed to write each time
+ * it is full and at the end.  Returns 0, or -1 with an exception
+ * set: ValueError for a non-finite value. */
+int
+glbopt_write_list(PyObject *write, const int64_t *index, Py_ssize_t width,
+                  const double *values, Py_ssize_t n, Py_ssize_t chunk,
+                  const char *head, const char *sep, const char *item, const char *tail,
+                  const uint64_t *pow5_inv, Py_ssize_t inv_count,
+                  const uint64_t *pow5, Py_ssize_t count)
+{
     if (inv_count != POW5_INV_COUNT || count != POW5_COUNT) {
         PyErr_Format(PyExc_ValueError, "power-of-five tables must hold %d and %d pairs",
                      POW5_INV_COUNT, POW5_COUNT);
         return -1;
     }
-    char buf[32];
+    if (width < 0 || width > 16 || chunk < 1 || chunk > (1 << 20)) {
+        PyErr_SetString(PyExc_ValueError, "need 0 <= width <= 16 and 1 <= chunk <= 2**20");
+        return -1;
+    }
+    Py_ssize_t head_len = (Py_ssize_t)strlen(head), sep_len = (Py_ssize_t)strlen(sep);
+    Py_ssize_t item_len = (Py_ssize_t)strlen(item), tail_len = (Py_ssize_t)strlen(tail);
+    /* the most an entry takes: its separator, then width ints of at most 20
+     * characters each with an item, then a float of at most 24 */
+    Py_ssize_t most = (head_len > sep_len ? head_len : sep_len) + width * (20 + item_len) + 24;
+    char *buf = PyMem_Malloc(chunk * most + tail_len);
+    if (buf == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    char *out = buf, last[24];
+    uint64_t last_bits = 0;
+    Py_ssize_t last_len = 0, room = chunk;  /* entries the buffer still takes */
+    int status = -1;
     for (Py_ssize_t p = 0; p < n; p++) {
         if (!isfinite(values[p])) {
             PyErr_Format(PyExc_ValueError, "values[%zd] is not finite", p);
-            return -1;
+            goto done;
         }
-        Py_ssize_t size = float_repr(values[p], pow5_inv, pow5, buf);
-        PyObject *text = PyUnicode_New(size, 127);
-        if (text == NULL)
-            return -1;
-        memcpy(PyUnicode_1BYTE_DATA(text), buf, size);
-        int failed = PyList_Append(out, text);
-        Py_DECREF(text);
-        if (failed)
-            return -1;
+        if (room-- == 0) {
+            if (flush_text(write, buf, out - buf))
+                goto done;
+            out = buf;
+            room = chunk - 1;
+        }
+        if (p) {
+            memcpy(out, sep, sep_len);
+            out += sep_len;
+        } else {
+            memcpy(out, head, head_len);
+            out += head_len;
+        }
+        for (const int64_t *i = index + p * width; i < index + (p + 1) * width; i++) {
+            out = put_int(out, *i);
+            memcpy(out, item, item_len);
+            out += item_len;
+        }
+        uint64_t bits;
+        memcpy(&bits, values + p, sizeof bits);
+        if (!p || bits != last_bits) {  /* else the text of the last value again */
+            last_bits = bits;
+            last_len = float_repr(values[p], pow5_inv, pow5, last);
+        }
+        memcpy(out, last, last_len);
+        out += last_len;
     }
-    return 0;
+    memcpy(out, tail, tail_len);
+    out += tail_len;
+    status = flush_text(write, buf, out - buf);
+done:
+    PyMem_Free(buf);
+    return status;
 }

@@ -35,8 +35,9 @@ SIGNATURES = {
                                   _INT64, _INT64, _INT64, _FLOAT64, _BOOL], ctypes.c_int),
     "glbopt_ba_targets": ([ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.py_object,
                            ctypes.c_ssize_t, _INT64_OUT], ctypes.c_int),
-    "glbopt_float_reprs": ([ctypes.py_object, _FLOAT64, ctypes.c_ssize_t, _UINT64,
-                            ctypes.c_ssize_t, _UINT64, ctypes.c_ssize_t], ctypes.c_int),
+    "glbopt_write_list": ([ctypes.py_object, _INT64, ctypes.c_ssize_t, _FLOAT64,
+                           ctypes.c_ssize_t, ctypes.c_ssize_t, *[ctypes.c_char_p] * 4,
+                           _UINT64, ctypes.c_ssize_t, _UINT64, ctypes.c_ssize_t], ctypes.c_int),
 }
 
 

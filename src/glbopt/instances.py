@@ -21,6 +21,7 @@ import csv
 import functools
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -179,8 +180,23 @@ def _ba_edges(n, m, draws):
         lo = np.empty((n - m) * m, dtype=np.int64)
         native(n, m, draws._raw, _RAW_BLOCK, lo)
     hi = np.repeat(np.arange(m, n, dtype=np.int64), m)
-    order = np.lexsort((hi, lo))
+    order = _row_major_order(lo, hi, n)
     return np.column_stack((lo[order], hi[order]))
+
+
+def _row_major_order(row, col, n):
+    """``np.lexsort((col, row))`` for indices in ``[0, n)``: the order of the
+    pairs by row, then column, with equal pairs in the order given.
+
+    Distinct pairs are ordered by scipy's CSR conversion, which carries each
+    pair's position as its value into sorted place; where a pair repeats,
+    the conversion sums those positions, and ``np.lexsort`` runs instead.
+    """
+    csr = sparse.csr_array((np.arange(row.size), (row, col)), shape=(n, n))
+    if csr.nnz != row.size:
+        return np.lexsort((col, row))
+    csr.sort_indices()
+    return csr.data
 
 
 def _ba_targets(n, m, draws):
@@ -314,7 +330,7 @@ def random_linear_problem(
         rng = _rng((seed, ell))
         u, v = graph.edges.T
         row, col = np.concatenate((u, v)), np.concatenate((v, u))
-        order = np.lexsort((col, row))  # row-major, so each draw lands on a fixed entry
+        order = _row_major_order(row, col, n)  # so each draw lands on a fixed entry
         vals = rng.uniform(0.0, max_coeff, size=order.size)
         b = rng.uniform(0.0, max_offset, size=n)
         pieces.append((sparse.coo_array((vals, (row[order], col[order])), shape=(n, n)), b))
@@ -483,29 +499,72 @@ def maneuver_time(w, h: float) -> float:
 def load_curvature_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a two-column (arc length, curvature) CSV; rows that do not parse
     as two floats (headers, comments) are skipped, and a non-finite value is
-    an error naming its line."""
+    an error naming its line.
+
+    A file of one optional skipped line then only rows of two finite floats
+    is read whole by ``np.loadtxt``; any other goes through
+    :func:`_csv_curvature_rows`, the row-by-row reference, which gives the
+    same floats for the files ``np.loadtxt`` takes.
+    """
+    table = _loadtxt_curvature_rows(path)
+    s, k = _csv_curvature_rows(path) if table is None else table.T.copy()
+    if len(s) < 2:
+        raise InstanceFormatError(f"{path}: need at least two numeric (s, k) rows")
+    if np.any(np.diff(s) <= 0):
+        raise InstanceFormatError(f"{path}: arc length must be strictly increasing")
+    return s, k
+
+
+def _number_pair(record: list[str]) -> tuple[float, float] | None:
+    """The first two fields of a CSV record as floats, or None when the row
+    is skipped."""
+    if len(record) < 2:
+        return None
+    try:
+        return float(record[0]), float(record[1])
+    except ValueError:
+        return None
+
+
+def _csv_curvature_rows(path) -> tuple[np.ndarray, np.ndarray]:
+    """The (s, k) columns of every row :func:`_number_pair` takes, read by
+    ``csv.reader``; a non-finite value raises naming its line."""
     s_vals, k_vals = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         for record in reader:
-            if len(record) < 2:
+            pair = _number_pair(record)
+            if pair is None:
                 continue
-            try:
-                s, k = float(record[0]), float(record[1])
-            except ValueError:
-                continue
+            s, k = pair
             if not (math.isfinite(s) and math.isfinite(k)):
                 raise InstanceFormatError(
                     f"{path}, line {reader.line_num}: non-finite (s, k) = ({s!r}, {k!r})"
                 )
             s_vals.append(s)
             k_vals.append(k)
-    if len(s_vals) < 2:
-        raise InstanceFormatError(f"{path}: need at least two numeric (s, k) rows")
-    s = np.array(s_vals)
-    if np.any(np.diff(s) <= 0):
-        raise InstanceFormatError(f"{path}: arc length must be strictly increasing")
-    return s, np.array(k_vals)
+    return np.array(s_vals), np.array(k_vals)
+
+
+def _loadtxt_curvature_rows(path) -> np.ndarray | None:
+    """The (rows, 2) table of a file whose first line, if it holds no quote,
+    may be one that :func:`_number_pair` skips and whose other lines
+    ``np.loadtxt`` reads as two finite floats each; None for any other file."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        first = fh.readline()
+    if '"' in first:
+        return None
+    skip = _number_pair(next(csv.reader([first]), [])) is None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # an empty table warns
+            table = np.loadtxt(path, delimiter=",", comments=None, skiprows=int(skip),
+                               ndmin=2, encoding="utf-8")
+    except (ValueError, UserWarning):
+        return None
+    if table.shape[1] != 2 or not np.isfinite(table).all():
+        return None
+    return table
 
 
 def speed_plan_spec_from_csv(
@@ -904,16 +963,24 @@ def generate(
 # -- instance files -----------------------------------------------------------
 
 
-_CHUNK = 4096  # triplets formatted and written at a time
-# the text before a triplet's row, column and value at nesting depth 4 of
-# json.dump(..., indent=1): before the first triplet of a piece, before each
-# later one, and between two scalars
-_OPEN, _NEXT, _ITEM = "\n    [\n     ", "\n    ],\n    [\n     ", ",\n     "
+_CHUNK = 4096  # list entries formatted and written at a time
+# the text json.dump(..., indent=1) puts around the entries of a nonempty list
+# of [row, col, value] triplets at nesting depth 3: before the first, between
+# two and after the last; and between two scalars of a triplet
+_TRIPLETS = ("[\n    [\n     ", "\n    ],\n    [\n     ", "\n    ]\n   ]")
+_ITEM = ",\n     "
+
+
+def _vector_layout(depth: int) -> tuple[str, str, str]:
+    """The text around the entries of a nonempty list of floats at nesting
+    ``depth``, as :data:`_TRIPLETS` is for triplets."""
+    pad = "\n" + " " * (depth + 1)
+    return "[" + pad, "," + pad, "\n" + " " * depth + "]"
 
 
 @functools.cache
 def _pow5_tables() -> tuple[np.ndarray, np.ndarray]:
-    """The power-of-five tables of ``glbopt_float_reprs`` in ``_native.c``,
+    """The power-of-five tables of ``glbopt_write_list`` in ``_native.c``,
     from exact integers, as flat (low, high) uint64 word pairs:
     ``2**(125 + floor(log2 5**q)) // 5**q + 1`` for ``q < 342`` and the
     leading 125 bits of ``5**i`` for ``i < 326``."""
@@ -923,61 +990,44 @@ def _pow5_tables() -> tuple[np.ndarray, np.ndarray]:
                  for table in (inverse, leading))
 
 
-def _float_text(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(text, where)`` with ``text[where[k]] == repr(values[k])``: ``text``
-    is an object array holding one ``repr`` per distinct bit pattern, so
-    ``-0.0`` keeps its own text apart from ``0.0``.
+def _native_list(native, fh, values: np.ndarray, index: np.ndarray, layout) -> None:
+    """Write a nonempty list through ``glbopt_write_list`` in ``_native.c``:
+    the text of entry p is the ints of ``index[p]``, each followed by
+    :data:`_ITEM`, then ``repr(values[p])``; ``layout`` is the (head,
+    separator, tail) text around the entries.  C makes the text in a buffer
+    of ``_CHUNK`` entries that it hands to ``fh.write`` each time it fills."""
+    inverse, leading = _pow5_tables()
+    head, sep, tail = (text.encode() for text in layout)
+    native(fh.write, index.ravel(), index.shape[1], values, values.size, _CHUNK,
+           head, sep, _ITEM.encode(), tail, inverse, inverse.size // 2, leading, leading.size // 2)
 
-    The text comes from ``glbopt_float_reprs`` in ``_native.c`` (shortest
-    digits, laid out as ``repr`` lays them out) when the native library
-    loads, and otherwise from ``repr``, the reference.
+
+def _python_list(index_text: np.ndarray, fh, values: np.ndarray, index: np.ndarray, layout) -> None:
+    """:func:`_native_list` in Python, its fallback and reference, with
+    ``index_text[i] == str(i)``.
+
+    Each chunk of ``_CHUNK`` entries fills the rows of one object array of
+    tokens (separator, then each int's text and :data:`_ITEM`, then the
+    value's ``repr``) by slice assignment from tables of distinct tokens, and
+    one ``"".join`` writes it.  ``repr`` runs once per distinct bit pattern
+    of ``values`` (``np.unique`` on the int64 view), so ``-0.0`` keeps its
+    own text apart from ``0.0``.
     """
+    head, sep, tail = layout
     bits, where = np.unique(values.view(np.int64), return_inverse=True)
-    distinct = bits.view(np.float64)
-    native = _native.function("glbopt_float_reprs")
-    if native is None:
-        text = list(map(repr, distinct.tolist()))
-    else:
-        text = []
-        inverse, leading = _pow5_tables()
-        native(text, distinct, distinct.size, inverse, inverse.size // 2, leading, leading.size // 2)
-    return np.array(text, dtype=object), where
-
-
-def _json_list(values: np.ndarray, depth: int) -> str:
-    """A float vector laid out as ``json.dump(..., indent=1)`` lays out its
-    list at nesting ``depth``: one ``repr`` per line, from :func:`_float_text`.
-    """
-    if not values.size:
-        return "[]"
-    text, where = _float_text(values)
-    pad = "\n" + " " * (depth + 1)
-    return "[" + pad + ("," + pad).join(text[where].tolist()) + "\n" + " " * depth + "]"
-
-
-def _write_triplets(fh, A: sparse.csr_array, index: np.ndarray) -> None:
-    """Write the triplets of a stored piece, each as ``json.dump(...,
-    indent=1)`` lays out a list at nesting depth 4, from ``_CHUNK`` rows of
-    six tokens: separator, row, ``_ITEM``, column, ``_ITEM``, value.
-
-    ``index`` holds ``str(i)`` for every index ``i``; values take their text
-    from :func:`_float_text`.  One object array is filled by slice assignment
-    from those tables and written with one ``"".join`` per chunk.
-    """
-    coo = A.tocoo()  # row-major: pieces are canonical CSR
-    rows, cols = coo.row, coo.col
-    text, where = _float_text(coo.data)
-    tokens = np.empty((min(_CHUNK, rows.size), 6), dtype=object)
-    tokens[:, 0], tokens[:, 2], tokens[:, 4] = _NEXT, _ITEM, _ITEM
-    tokens[0, 0] = _OPEN
-    for start in range(0, rows.size, _CHUNK):
+    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    tokens = np.empty((min(_CHUNK, values.size), 2 + 2 * index.shape[1]), dtype=object)
+    tokens[:, 0] = sep
+    tokens[0, 0] = head
+    tokens[:, 2:-1:2] = _ITEM
+    for start in range(0, values.size, _CHUNK):
         chunk = slice(start, start + _CHUNK)
-        block = tokens[: rows[chunk].size]
-        block[:, 1] = index[rows[chunk]]
-        block[:, 3] = index[cols[chunk]]
-        block[:, 5] = text[where[chunk]]
-        fh.write("".join(block.ravel().tolist()))
-        tokens[0, 0] = _NEXT
+        block = tokens[: values[chunk].size]
+        block[:, 1:-1:2] = index_text[index[chunk]]
+        block[:, -1] = text[where[chunk]]
+        fh.write("".join(block.ravel().tolist()).encode())
+        tokens[0, 0] = sep
+    fh.write(tail.encode())
 
 
 def save_instance(p: LinearGlbProblem, path) -> None:
@@ -988,30 +1038,44 @@ def save_instance(p: LinearGlbProblem, path) -> None:
     canonical CSR order each piece is stored in (row-major, columns
     ascending), floats by ``repr``.
 
-    The text comes from tables of distinct tokens: ``str(i)`` once per index
-    for the whole save, and the ``repr`` text, made in C where the native
-    library loads, once per distinct bit pattern of each vector and of each
-    piece's values (:func:`_float_text`).  Triplets are
-    assembled and written ``_CHUNK`` at a time (:func:`_write_triplets`), so
-    no per-entry Python objects outlive a chunk.
+    Each nonempty list (each piece's triplets, each vector) is written by
+    one call of ``glbopt_write_list`` in ``_native.c`` where the native
+    library loads (:func:`_native_list`), and otherwise by
+    :func:`_python_list`; both write ``_CHUNK`` entries at a time, so no
+    per-entry text outlives a chunk.
     """
     # encoded before the file is opened, so a meta json cannot encode leaves
     # no partial file; json escapes newlines inside strings, so every newline
     # in the text is layout and takes the one extra space of nesting
     meta = json.dumps(p.meta, indent=1).replace("\n", "\n ")
-    index = np.array(list(map(str, range(p.n))), dtype=object)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write('{\n "n": %d,\n "L": %d,\n "pieces": [' % (p.n, p.L))
+    native = _native.function("glbopt_write_list")
+    if native is None:
+        write_list = functools.partial(_python_list, np.array(list(map(str, range(p.n))), dtype=object))
+    else:
+        write_list = functools.partial(_native_list, native)
+    with open(path, "wb") as fh:
+
+        def put_list(values, layout, index=None):
+            if not values.size:
+                fh.write(b"[]")
+            else:
+                write_list(fh, values, np.empty((values.size, 0), np.int64) if index is None
+                           else index, layout)
+
+        fh.write(b'{\n "n": %d,\n "L": %d,\n "pieces": [' % (p.n, p.L))
         for ell, (A, b) in enumerate(p.pieces):
-            fh.write(',\n  {\n   "A": [' if ell else '\n  {\n   "A": [')
-            if A.nnz:
-                _write_triplets(fh, A, index)
-            fh.write("\n    ]\n   ],\n" if A.nnz else "],\n")
-            fh.write('   "b": ' + _json_list(b, 3) + "\n  }")
-        fh.write("\n ],\n" if p.L else "],\n")
-        fh.write(' "U": ' + _json_list(p.U, 1) + ",\n")
-        fh.write(' "a": ' + _json_list(p.a, 1) + ",\n")
-        fh.write(' "meta": ' + meta + "\n}\n")
+            fh.write(b',\n  {\n   "A": ' if ell else b'\n  {\n   "A": ')
+            coo = A.tocoo()  # row-major: pieces are canonical CSR
+            put_list(coo.data, _TRIPLETS, np.column_stack((coo.row, coo.col)).astype(np.int64))
+            fh.write(b',\n   "b": ')
+            put_list(b, _vector_layout(3))
+            fh.write(b"\n  }")
+        fh.write(b"\n ],\n" if p.L else b"],\n")
+        fh.write(b' "U": ')
+        put_list(p.U, _vector_layout(1))
+        fh.write(b',\n "a": ')
+        put_list(p.a, _vector_layout(1))
+        fh.write(b',\n "meta": ' + meta.encode() + b"\n}\n")
 
 
 def load_instance(path) -> LinearGlbProblem:

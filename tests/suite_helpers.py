@@ -50,6 +50,7 @@ def native_or_skip(name):
 def python_path_for(monkeypatch, name):
     """Make ``_native.function(name)`` None for the rest of the test, so the
     Python path of that C function runs."""
+    assert name in _native.SIGNATURES, name
     function = _native.function
     monkeypatch.setattr(_native, "function", lambda other: None if other == name else function(other))
 

@@ -600,11 +600,12 @@ class TestCliPythonDraws:
 
 
 class TestCliPythonFloatText:
-    """Every file pin again, with floats written by ``repr`` in place of ``_native.c``."""
+    """Every file pin again, with every list written by the Python writer
+    (token tables, floats by ``repr``) in place of ``_native.c``."""
 
     @pytest.fixture(autouse=True)
     def _python_text(self, monkeypatch):
-        python_path_for(monkeypatch, "glbopt_float_reprs")
+        python_path_for(monkeypatch, "glbopt_write_list")
 
     @pytest.mark.parametrize("argv, digest", GEN_FILE_PINS)
     def test_gen_file_bytes_are_pinned(self, argv, digest, tmp_path, capsys):

@@ -377,13 +377,15 @@ class TestNativeBaDraws:
 
 
 def _native_reprs(values):
-    """``glbopt_float_reprs`` on ``values``, as ``_float_text`` calls it."""
-    native = native_or_skip("glbopt_float_reprs")
+    """``repr`` of each of ``values``, as ``glbopt_write_list`` writes a list
+    of floats with one per line and no frame around them."""
+    native = native_or_skip("glbopt_write_list")
     values = np.asarray(values, dtype=np.float64)
     inverse, leading = instances._pow5_tables()
-    text = []
-    native(text, values, values.size, inverse, inverse.size // 2, leading, leading.size // 2)
-    return text
+    chunks = []
+    native(chunks.append, np.empty(0, dtype=np.int64), 0, values, values.size, 1000,
+           b"", b"\n", b"", b"", inverse, inverse.size // 2, leading, leading.size // 2)
+    return b"".join(chunks).decode().split("\n") if values.size else []
 
 
 def _assert_reprs(values):
@@ -396,7 +398,7 @@ def _assert_reprs(values):
 
 
 class TestNativeFloatText:
-    """``glbopt_float_reprs`` against ``repr``, its reference."""
+    """The float text of ``glbopt_write_list`` against ``repr``, its reference."""
 
     def test_random_bit_patterns(self):
         bits = np.random.default_rng(2018).integers(0, 2**64, size=10**6, dtype=np.uint64)
@@ -424,6 +426,23 @@ class TestNativeFloatText:
         assert _native_reprs([0.0, -0.0, 1e-4, 1e-5, 1e16, 1.5e300]) == [
             "0.0", "-0.0", "0.0001", "1e-05", "1e+16", "1.5e+300"]
 
+    def test_portable_products_give_the_same_text(self, fresh_native_load, tmp_path,
+                                                  monkeypatch):
+        # built as a compiler without unsigned __int128 builds it: the 128-bit
+        # products of mul_shift from 32-bit halves
+        native_or_skip("glbopt_write_list")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        compile_command = instances._native.compile_command
+        monkeypatch.setattr(instances._native, "compile_command", lambda source, out: [
+            *compile_command(source, out), "-U__SIZEOF_INT128__"])
+        instances._native.load.cache_clear()
+        bits = np.random.default_rng(1974).integers(0, 2**64, size=10**5, dtype=np.uint64)
+        values = bits.view(np.float64)
+        _assert_reprs(np.concatenate([values[np.isfinite(values)],
+                                      [math.ldexp(1.0, k) for k in range(-1074, 1024)]]))
+        assert instances._native.library_path().is_relative_to(tmp_path)  # built anew
+        assert instances._native.library_path().exists()
+
     @settings(max_examples=2000, deadline=None)
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_any_finite_float(self, x):
@@ -435,26 +454,79 @@ class TestNativeFloatText:
             _native_reprs([1.0, bad])
 
     def test_tables_must_have_their_sizes(self):
-        native = native_or_skip("glbopt_float_reprs")
+        native = native_or_skip("glbopt_write_list")
         inverse, leading = instances._pow5_tables()
         with pytest.raises(ValueError, match="must hold 342 and 326 pairs"):
-            native([], np.ones(1), 1, inverse, inverse.size // 2, leading[:-2],
-                   leading.size // 2 - 1)
+            native(print, np.empty(0, dtype=np.int64), 0, np.ones(1), 1, 1, b"", b"", b"", b"",
+                   inverse, inverse.size // 2, leading[:-2], leading.size // 2 - 1)
 
     def test_save_uses_the_native_formatter_where_it_can_be_built(self, monkeypatch, tmp_path):
         compiler_or_skip()
-        native = instances._native.function("glbopt_float_reprs")
+        native = instances._native.function("glbopt_write_list")
         assert native is not None, instances._native.fallback
         calls = []
         function = instances._native.function
         monkeypatch.setattr(instances._native, "function", lambda name: (
-            (lambda *args: calls.append(args[2]) or native(*args))
-            if name == "glbopt_float_reprs" else function(name)))
+            (lambda *args: calls.append(args[4]) or native(*args))
+            if name == "glbopt_write_list" else function(name)))
         save_instance(make_instance(SweepConfig(family="ba"), 60, seed=3), tmp_path / "x.json")
-        assert calls  # one call per vector and per piece's values
+        assert len(calls) == 4 + 4 + 2  # each piece's triplets and b, then U and a
+
+
+def _lexsort_linear_problem(graphs, seed):
+    """random_linear_problem at its default bounds, with each piece's pairs
+    ordered by ``np.lexsort``: the reference of its sort."""
+    n, pieces = graphs[0].n, []
+    for ell, graph in enumerate(graphs):
+        rng = instances._rng((seed, ell))
+        u, v = graph.edges.T
+        row, col = np.concatenate((u, v)), np.concatenate((v, u))
+        order = np.lexsort((col, row))
+        vals = rng.uniform(0.0, 0.5, size=order.size)
+        b = rng.uniform(0.0, 1.0, size=n)
+        pieces.append((sparse.coo_array((vals, (row[order], col[order])), shape=(n, n)), b))
+    return LinearGlbProblem(pieces, U=np.full(n, 1e5))
+
+
+def _assert_same_pieces(p, q):
+    assert p.n == q.n and p.L == q.L
+    for (A, b), (B, c) in zip(p.pieces, q.pieces):
+        for x, y in ((A.indptr, B.indptr), (A.indices, B.indices), (A.data, B.data), (b, c)):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+        assert np.array_equal(A.data.view(np.int64), B.data.view(np.int64))
 
 
 class TestRandomLinearProblem:
+    @pytest.mark.parametrize("family", ["ba", "nws", "hk"])
+    def test_pieces_are_those_of_the_lexsort_order(self, family):
+        graphs = [gen_graph(family, 40, seed=(6, ell)) for ell in range(3)]
+        _assert_same_pieces(random_linear_problem(graphs, seed=6),
+                            _lexsort_linear_problem(graphs, seed=6))
+
+    def test_duplicated_pairs_take_the_lexsort_order(self, monkeypatch):
+        # a graph listing an edge twice: the CSR order would sum the two
+        # positions, so np.lexsort orders the pairs
+        edges = np.array([[0, 1], [1, 2], [0, 1], [2, 3], [0, 3]])
+        graph = instances.RandomGraph(n=4, edges=edges, tag="ba", seed=0)
+        calls = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(len(keys)) or lexsort(keys))
+        p = random_linear_problem([graph, graph], seed=9)
+        assert calls == [2, 2]
+        monkeypatch.undo()
+        _assert_same_pieces(p, _lexsort_linear_problem([graph, graph], seed=9))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                             max_size=60))))
+    def test_row_major_order_is_the_lexsort_order(self, case):
+        n, pairs = case
+        row, col = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        order = instances._row_major_order(row, col, n)
+        assert order.dtype == np.int64
+        assert np.array_equal(order, np.lexsort((col, row)))
+
     def test_zero_coefficient_bound_decouples(self):
         graphs = [gen_graph("ba", 12, seed=(4, ell), m=2) for ell in range(2)]
         p = random_linear_problem(graphs, max_coeff=0.0, max_offset=1.0, cap=0.5, seed=4)
@@ -996,6 +1068,82 @@ class TestDominantDiagonalGenerator:
         assert _golden_digest(dominant_diagonal_problem(n, L, 0.6, 0.2, seed=seed)) == digest
 
 
+# save_instance edge cases: an empty problem, no pieces, empty pieces, awkward
+# and exponent-form floats, chunk seams, one shared value, five-digit indices,
+# the positional/exponent switches of repr and a meta needing escapes
+EDGE_CASES = ["n0", "L0", "empty_piece", "awkward_floats", "meta", "chunk-1", "chunk",
+              "chunk+1", "one_value", "exponent_floats", "five_digit_indices", "layout_edges"]
+
+
+def _edge_case_problem(case):
+    awkward = [-0.0, 5e-324, 1e-300, 1e16, 1.0000000000000002]
+    if case == "n0":
+        p = LinearGlbProblem([(np.zeros((0, 0)), np.zeros(0))], U=np.zeros(0))
+    elif case == "L0":
+        p = LinearGlbProblem([], U=[1.0, 2.0], a=[0.5, 0.0])
+    elif case == "empty_piece":
+        A = np.array([[0.0, 0.25, 0.0], [0.0, 0.0, 0.0], [0.5, 0.0, 0.125]])
+        b = np.array([1.0, 0.0, 2.0])
+        p = LinearGlbProblem([(np.zeros((3, 3)), b), (A, b), (np.zeros((3, 3)), b)],
+                             U=[3.0, 3.0, 3.0])
+    elif case == "awkward_floats":
+        A = np.zeros((5, 5))
+        A[0, 1:] = awkward[1:]
+        A[1, 0] = -0.0
+        A[2, 4], A[4, 2] = awkward[4], awkward[1]
+        p = LinearGlbProblem([(A, np.array(awkward))], U=awkward[::-1], a=awkward)
+    elif case.startswith("chunk"):
+        # a piece that ends just before, on and just after a chunk seam,
+        # then a small piece that opens its list afresh
+        size = _CHUNK + {"chunk-1": -1, "chunk": 0, "chunk+1": 1}[case]
+        rng = np.random.default_rng(size)
+        n = 100
+        cells = rng.choice(n * n, size=size, replace=False)
+        A = sparse.coo_array((rng.uniform(0.0, 0.9, size), np.divmod(cells, n)), shape=(n, n))
+        B = sparse.coo_array(([0.5, 0.25], ([0, 99], [99, 0])), shape=(n, n))
+        p = LinearGlbProblem([(A, rng.uniform(0.0, 1.0, n)), (B, np.zeros(n))],
+                             U=np.full(n, 5.0))
+    elif case == "one_value":
+        # every stored value and every vector entry shares one bit pattern
+        n = _CHUNK + 7
+        A = sparse.diags_array([np.ones(n - 1), np.ones(n - 1)], offsets=[-1, 1])
+        p = LinearGlbProblem([(A, np.ones(n))], U=np.ones(n), a=np.ones(n))
+    elif case == "exponent_floats":
+        # values that repr writes in exponent form
+        exponent = [1e-05, 1e16, 5e-324]
+        A = np.zeros((3, 3))
+        A[0, 1], A[1, 2], A[2, 0] = exponent
+        p = LinearGlbProblem([(A, np.array(exponent))], U=exponent[::-1],
+                             a=[5e-324, 0.0, 1e-05])
+    elif case == "five_digit_indices":
+        n = 10_001
+        A = sparse.coo_array(([0.5, 0.25, 0.125, 0.75], ([0, 9_999, 10_000, 10_000],
+                                                       [10_000, 0, 9, 9_999])), shape=(n, n))
+        p = LinearGlbProblem([(A, np.full(n, 0.5))], U=np.arange(n, dtype=float) + 1.0)
+    elif case == "layout_edges":
+        # either side of repr's switches between positional and exponent
+        # form, subnormals, the smallest normal, the largest double, and
+        # zeros of both signs next to each other
+        edges = [1e-4, 9.999999999999999e-05, 1e-5, 1e16, 9999999999999998.0, 1e15,
+                 1.2345678901234568e16, 5e-324, 4.9e-322, 2.2250738585072014e-308,
+                 1.7976931348623157e308, 0.0, -0.0, 0.0]
+        n = len(edges)
+        A = sparse.coo_array((edges, (np.arange(n), (np.arange(n) + 1) % n)), shape=(n, n))
+        p = LinearGlbProblem([(A, np.array(edges))], U=edges[::-1], a=edges)
+    else:
+        meta = {
+            "name": "Zürich \"quoted\"\nsecond line\ttab \u2713 \\",
+            "nested": {"list": [1, 2.5, [None, True, False]], "empty_dict": {},
+                       "empty_list": [], "deeper": {"x": {"y": [{}]}}},
+            "none": None,
+            "flag": True,
+            "caf\u00e9": "\u65e5\u672c",
+        }
+        p = LinearGlbProblem([(np.array([[0.0, 0.5], [0.5, 0.0]]), np.ones(2))],
+                             U=[10.0, 10.0], meta=meta)
+    return p
+
+
 class TestInstanceFiles:
     def test_round_trip_is_bit_exact(self, two_var, tmp_path):
         path = tmp_path / "two_var.json"
@@ -1148,65 +1296,9 @@ class TestInstanceFiles:
         save_instance(p, path)
         assert path.read_bytes() == ref.read_bytes()
 
-    @pytest.mark.parametrize("case", ["n0", "L0", "empty_piece", "awkward_floats", "meta",
-                                      "chunk-1", "chunk", "chunk+1", "one_value",
-                                      "exponent_floats", "five_digit_indices"])
+    @pytest.mark.parametrize("case", EDGE_CASES)
     def test_save_matches_json_dump_on_edge_cases(self, case, tmp_path):
-        awkward = [-0.0, 5e-324, 1e-300, 1e16, 1.0000000000000002]
-        if case == "n0":
-            p = LinearGlbProblem([(np.zeros((0, 0)), np.zeros(0))], U=np.zeros(0))
-        elif case == "L0":
-            p = LinearGlbProblem([], U=[1.0, 2.0], a=[0.5, 0.0])
-        elif case == "empty_piece":
-            A = np.array([[0.0, 0.25, 0.0], [0.0, 0.0, 0.0], [0.5, 0.0, 0.125]])
-            b = np.array([1.0, 0.0, 2.0])
-            p = LinearGlbProblem([(np.zeros((3, 3)), b), (A, b), (np.zeros((3, 3)), b)],
-                                 U=[3.0, 3.0, 3.0])
-        elif case == "awkward_floats":
-            A = np.zeros((5, 5))
-            A[0, 1:] = awkward[1:]
-            A[1, 0] = -0.0
-            A[2, 4], A[4, 2] = awkward[4], awkward[1]
-            p = LinearGlbProblem([(A, np.array(awkward))], U=awkward[::-1], a=awkward)
-        elif case.startswith("chunk"):
-            # a piece that ends just before, on and just after a chunk seam,
-            # then a small piece that opens its list afresh
-            size = _CHUNK + {"chunk-1": -1, "chunk": 0, "chunk+1": 1}[case]
-            rng = np.random.default_rng(size)
-            n = 100
-            cells = rng.choice(n * n, size=size, replace=False)
-            A = sparse.coo_array((rng.uniform(0.0, 0.9, size), np.divmod(cells, n)), shape=(n, n))
-            B = sparse.coo_array(([0.5, 0.25], ([0, 99], [99, 0])), shape=(n, n))
-            p = LinearGlbProblem([(A, rng.uniform(0.0, 1.0, n)), (B, np.zeros(n))],
-                                 U=np.full(n, 5.0))
-        elif case == "one_value":
-            # every stored value and every vector entry shares one bit pattern
-            n = _CHUNK + 7
-            A = sparse.diags_array([np.ones(n - 1), np.ones(n - 1)], offsets=[-1, 1])
-            p = LinearGlbProblem([(A, np.ones(n))], U=np.ones(n), a=np.ones(n))
-        elif case == "exponent_floats":
-            # values that repr writes in exponent form
-            exponent = [1e-05, 1e16, 5e-324]
-            A = np.zeros((3, 3))
-            A[0, 1], A[1, 2], A[2, 0] = exponent
-            p = LinearGlbProblem([(A, np.array(exponent))], U=exponent[::-1],
-                                 a=[5e-324, 0.0, 1e-05])
-        elif case == "five_digit_indices":
-            n = 10_001
-            A = sparse.coo_array(([0.5, 0.25, 0.125, 0.75], ([0, 9_999, 10_000, 10_000],
-                                                           [10_000, 0, 9, 9_999])), shape=(n, n))
-            p = LinearGlbProblem([(A, np.full(n, 0.5))], U=np.arange(n, dtype=float) + 1.0)
-        else:
-            meta = {
-                "name": "Zürich \"quoted\"\nsecond line\ttab \u2713 \\",
-                "nested": {"list": [1, 2.5, [None, True, False]], "empty_dict": {},
-                           "empty_list": [], "deeper": {"x": {"y": [{}]}}},
-                "none": None,
-                "flag": True,
-                "caf\u00e9": "\u65e5\u672c",
-            }
-            p = LinearGlbProblem([(np.array([[0.0, 0.5], [0.5, 0.0]]), np.ones(2))],
-                                 U=[10.0, 10.0], meta=meta)
+        p = _edge_case_problem(case)
         doc = {"n": p.n, "L": p.L, "pieces": [], "U": p.U.tolist(), "a": p.a.tolist(),
                "meta": p.meta}
         for A, b in p.pieces:
@@ -1223,6 +1315,15 @@ class TestInstanceFiles:
         path = tmp_path / "saved.json"
         save_instance(p, path)
         assert path.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("case", EDGE_CASES)
+    def test_python_writer_gives_the_same_bytes(self, case, tmp_path, monkeypatch):
+        native_or_skip("glbopt_write_list")
+        p = _edge_case_problem(case)
+        save_instance(p, tmp_path / "native.json")
+        python_path_for(monkeypatch, "glbopt_write_list")
+        save_instance(p, tmp_path / "python.json")
+        assert (tmp_path / "native.json").read_bytes() == (tmp_path / "python.json").read_bytes()
 
     def test_unencodable_meta_leaves_no_file(self, two_var, tmp_path):
         p = LinearGlbProblem(two_var.pieces, U=two_var.U, meta={"spec": object()})
@@ -1459,7 +1560,78 @@ class TestCanonicalPieces:
             assert np.all(coo.data != 0.0)
 
 
+# CSV fields: numbers as repr writes them and as people type them, and the
+# text the row loop skips or rejects: headers, comments, quotes, trailing
+# text, underscores, non-finite and out-of-range values, non-ASCII digits
+_CSV_FIELDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["s", "k", "# note", "#", "", " ", "\t", " 2.5 ", "+.5", "7.", "1e400", "-1e-400",
+                     "1_0", "inf", "-Infinity", "nan", '"4.5"', '"1,5"', "2.0abc", "0x10",
+                     "\u0661", "\u00a0 1.0", "\ufeff3"]),
+)
+_CSV_ROWS = st.lists(_CSV_FIELDS, min_size=1, max_size=4).map(",".join)
+
+
+@st.composite
+def curvature_csv_texts(draw):
+    """CSV text: an optional header line, then rows of two numbers with
+    increasing arc length, with or without rows of any fields mixed in, one
+    to four to a line, each line ended by LF, CRLF or CR."""
+    numbers = st.floats(allow_nan=False, allow_infinity=False, width=32)
+    arcs = sorted(set(draw(st.lists(numbers, max_size=12))))
+    rows = [f"{s!r},{draw(numbers)!r}" for s in arcs]
+    for other in draw(st.lists(_CSV_ROWS, max_size=4)):
+        rows.insert(draw(st.integers(0, len(rows))), other)
+    header = draw(st.sampled_from([[], ["s,k"], ["# arc length, curvature"], ["1.0"]]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(header + rows) + draw(st.sampled_from(["", newline]))
+
+
+def _curvature_outcome(path):
+    """What load_curvature_csv returns, bit for bit, or the error it raises."""
+    try:
+        s, k = load_curvature_csv(path)
+    except InstanceFormatError as exc:
+        return "error", str(exc)
+    return s.view(np.int64).tolist(), k.view(np.int64).tolist(), s.dtype, k.dtype
+
+
 class TestCurvatureCsv:
+    @settings(max_examples=300, deadline=None)
+    @given(curvature_csv_texts())
+    def test_whole_file_reader_matches_the_row_loop(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("csv") / "curv.csv"
+        path.write_bytes(text.encode())
+        got = _curvature_outcome(path)
+        table = instances._loadtxt_curvature_rows(path)
+        if table is not None:
+            assert np.array_equal(table.T.view(np.int64),
+                                  np.array(instances._csv_curvature_rows(path)).view(np.int64))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(instances, "_loadtxt_curvature_rows", lambda path: None)
+            assert got == _curvature_outcome(path)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("header", ["", "s,k", "# s, k"])
+    def test_plain_files_are_read_whole(self, header, newline, tmp_path):
+        # one header line at most, then two finite floats per row: the shape
+        # of the curvature files perfbench writes
+        rows = [f"{s}.0,{k!r}" for s, k in enumerate([0.0, 0.01, 1e-05, 0.05, 0.0])]
+        path = tmp_path / "curv.csv"
+        path.write_bytes(newline.join(([header] if header else []) + rows).encode() + b"\n")
+        table = instances._loadtxt_curvature_rows(path)
+        assert table is not None and table.tolist() == [[float(s), k] for s, k in enumerate(
+            [0.0, 0.01, 1e-05, 0.05, 0.0])]
+
+    @pytest.mark.parametrize("text", ["s,k\n# comment\n0,0\n1,1\n", '"0","0"\n1,1\n',
+                                      "0,0\n1,1,extra\n", "0,0\n1_0,1\n", "0,0\n1\n2,2\n",
+                                      "0,0\n1,1x\n", "0,0\n1,inf\n", "s,k\n"])
+    def test_other_files_go_through_the_row_loop(self, text, tmp_path):
+        path = tmp_path / "curv.csv"
+        path.write_text(text)
+        assert instances._loadtxt_curvature_rows(path) is None
+
     def test_header_rows_are_skipped_and_resampled(self, tmp_path):
         path = tmp_path / "curv.csv"
         path.write_text("s,k\n0.0,0.0\n1.0,0.5\n2.0,1.0\n")
