@@ -996,6 +996,8 @@ def _native_list(native, fh, values: np.ndarray, index: np.ndarray, layout) -> N
     :data:`_ITEM`, then ``repr(values[p])``; ``layout`` is the (head,
     separator, tail) text around the entries.  C makes the text in a buffer
     of ``_CHUNK`` entries that it hands to ``fh.write`` each time it fills."""
+    if index.shape[0] != values.size:  # C reads index.shape[1] ints per value
+        raise ValueError(f"need one index row per value, got {index.shape[0]} for {values.size}")
     inverse, leading = _pow5_tables()
     head, sep, tail = (text.encode() for text in layout)
     native(fh.write, index.ravel(), index.shape[1], values, values.size, _CHUNK,

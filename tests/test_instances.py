@@ -460,6 +460,13 @@ class TestNativeFloatText:
             native(print, np.empty(0, dtype=np.int64), 0, np.ones(1), 1, 1, b"", b"", b"", b"",
                    inverse, inverse.size // 2, leading[:-2], leading.size // 2 - 1)
 
+    def test_index_rows_must_match_the_values(self, tmp_path):
+        native = native_or_skip("glbopt_write_list")
+        with open(tmp_path / "x.json", "wb") as fh:
+            with pytest.raises(ValueError, match="one index row per value, got 2 for 3"):
+                instances._native_list(native, fh, np.ones(3), np.zeros((2, 2), dtype=np.int64),
+                                       instances._TRIPLETS)
+
     def test_save_uses_the_native_formatter_where_it_can_be_built(self, monkeypatch, tmp_path):
         compiler_or_skip()
         native = instances._native.function("glbopt_write_list")
