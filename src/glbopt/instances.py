@@ -1052,7 +1052,8 @@ def save_instance(p: LinearGlbProblem, path) -> None:
     meta = json.dumps(p.meta, indent=1).replace("\n", "\n ")
     native = _native.function("glbopt_write_list")
     if native is None:
-        write_list = functools.partial(_python_list, np.array(list(map(str, range(p.n))), dtype=object))
+        index_text = np.array(list(map(str, range(p.n))), dtype=object)
+        write_list = functools.partial(_python_list, index_text)
     else:
         write_list = functools.partial(_native_list, native)
     with open(path, "wb") as fh:
