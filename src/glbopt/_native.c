@@ -242,16 +242,6 @@ done:
 #define POW5_COUNT 326
 #define POW5_BITS 125
 
-#ifdef __SIZEOF_INT128__
-/* (m * mul) >> j for a 55-bit m, a 128-bit mul and 64 < j < 128. */
-static uint64_t
-mul_shift(uint64_t m, const uint64_t *mul, int32_t j)
-{
-    unsigned __int128 low = (unsigned __int128)m * mul[0];
-    unsigned __int128 high = (unsigned __int128)m * mul[1];
-    return (uint64_t)(((low >> 64) + high) >> (j - 64));
-}
-#else
 /* The high 64 bits of the 128-bit product a * b, and its low ones in *low. */
 static uint64_t
 mul_64x64(uint64_t a, uint64_t b, uint64_t *low)
@@ -275,7 +265,6 @@ mul_shift(uint64_t m, const uint64_t *mul, int32_t j)
     high1 += sum < high0;
     return (high1 << (128 - j)) | (sum >> (j - 64));
 }
-#endif
 
 /* ceil(log2(5**e)) for e > 0 (1 for e == 0); floor(log10(2**e)) and
  * floor(log10(5**e)) for 0 <= e <= 1650. */
@@ -386,27 +375,15 @@ shortest_digits(uint64_t ieee_mantissa, uint32_t ieee_exponent,
     return output;
 }
 
-static const char DIGIT_PAIRS[] =
-    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
-    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
-    "8081828384858687888990919293949596979899";
-
-/* The decimal digits of v, written two at a time to end just before end.
- * Returns where they start. */
+/* The decimal digits of v, written to end just before end.  Returns where
+ * they start. */
 static char *
 put_digits(char *end, uint64_t v)
 {
-    while (v >= 100) {
-        end -= 2;
-        memcpy(end, DIGIT_PAIRS + 2 * (v % 100), 2);
-        v /= 100;
-    }
-    if (v >= 10) {
-        end -= 2;
-        memcpy(end, DIGIT_PAIRS + 2 * v, 2);
-    } else {
-        *--end = (char)('0' + v);
-    }
+    do {
+        *--end = (char)('0' + v % 10);
+        v /= 10;
+    } while (v);
     return end;
 }
 

@@ -1069,7 +1069,10 @@ def save_instance(p: LinearGlbProblem, path) -> None:
         for ell, (A, b) in enumerate(p.pieces):
             fh.write(b',\n  {\n   "A": ' if ell else b'\n  {\n   "A": ')
             coo = A.tocoo()  # row-major: pieces are canonical CSR
-            put_list(coo.data, _TRIPLETS, np.column_stack((coo.row, coo.col)).astype(np.int64))
+            index = np.empty((coo.nnz, 2), np.int64)
+            index[:, 0] = coo.row
+            index[:, 1] = coo.col
+            put_list(coo.data, _TRIPLETS, index)
             fh.write(b',\n   "b": ')
             put_list(b, _vector_layout(3))
             fh.write(b"\n  }")

@@ -3,7 +3,7 @@ import gc
 import numpy as np
 import pytest
 
-from glbopt import LinearGlbProblem, _native
+from glbopt import LinearGlbProblem
 
 
 @pytest.fixture
@@ -21,12 +21,3 @@ def collector_left_as_found():
     if enabled and not gc.isenabled():
         gc.enable()
         pytest.fail("the test left the cyclic garbage collector disabled")
-
-
-@pytest.fixture
-def fresh_native_load():
-    """Forget the process's native library before and after the test, so the
-    test loads its own and later tests load the usual one again."""
-    _native.load.cache_clear()
-    yield
-    _native.load.cache_clear()

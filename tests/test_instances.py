@@ -426,23 +426,6 @@ class TestNativeFloatText:
         assert _native_reprs([0.0, -0.0, 1e-4, 1e-5, 1e16, 1.5e300]) == [
             "0.0", "-0.0", "0.0001", "1e-05", "1e+16", "1.5e+300"]
 
-    def test_portable_products_give_the_same_text(self, fresh_native_load, tmp_path,
-                                                  monkeypatch):
-        # built as a compiler without unsigned __int128 builds it: the 128-bit
-        # products of mul_shift from 32-bit halves
-        native_or_skip("glbopt_write_list")
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        compile_command = instances._native.compile_command
-        monkeypatch.setattr(instances._native, "compile_command", lambda source, out: [
-            *compile_command(source, out), "-U__SIZEOF_INT128__"])
-        instances._native.load.cache_clear()
-        bits = np.random.default_rng(1974).integers(0, 2**64, size=10**5, dtype=np.uint64)
-        values = bits.view(np.float64)
-        _assert_reprs(np.concatenate([values[np.isfinite(values)],
-                                      [math.ldexp(1.0, k) for k in range(-1074, 1024)]]))
-        assert instances._native.library_path().is_relative_to(tmp_path)  # built anew
-        assert instances._native.library_path().exists()
-
     @settings(max_examples=2000, deadline=None)
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_any_finite_float(self, x):

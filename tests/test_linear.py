@@ -282,6 +282,15 @@ class TestSelectiveTablesPythonBuilder(TestSelectiveTables):
         assert [list(c) for c in p._selective_tables()] == reference_tables(p)
 
 
+@pytest.fixture
+def fresh_native_load():
+    """Forget the process's native builder before and after the test, so the
+    test loads its own and later tests load the usual one again."""
+    _native.load.cache_clear()
+    yield
+    _native.load.cache_clear()
+
+
 def _failing_compile(source, out):
     # leaves a partial output behind, as an interrupted compiler might
     return [sys.executable, "-c", "import sys; open(sys.argv[1], 'w').write('partial'); sys.exit(1)",
